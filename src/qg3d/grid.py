@@ -150,6 +150,18 @@ class GridSpec:
             m[self.nz // 2] = 0.0
         return m.reshape(-1, 1, 1)
 
+    # The x and y multipliers with every mode outside the two-thirds ball
+    # zeroed, shaped like a half-spectrum array: one product both truncates
+    # and differentiates.
+
+    @cached_property
+    def ikx_dealiased(self) -> np.ndarray:
+        return np.where(self.dealias_mask, self.ikx, 0.0)
+
+    @cached_property
+    def iky_dealiased(self) -> np.ndarray:
+        return np.where(self.dealias_mask, self.iky, 0.0)
+
     @cached_property
     def k2_iso(self) -> np.ndarray:
         """Isotropic |k|^2 = kx^2 + ky^2 + kz^2 on the half spectrum."""

@@ -29,12 +29,20 @@ VERSION = 1
 _HEADER = struct.Struct("<4sI3Q7d")
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _atomic_write(path, payload: bytes) -> None:
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
+        # mkstemp creates the file 0600; give it the mode open() would
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft as sfft
@@ -18,8 +19,11 @@ from .grid import GridSpec
 
 
 def _workers() -> int:
-    # Single threaded by default so runs are bitwise reproducible; the
-    # environment can opt in to threaded transforms.
+    # Single threaded by default: on a 2-core machine two workers have shown
+    # no steady gain (one 64^3 rfftn measured both slower and faster with
+    # them), so threading waits for an end-to-end measurement.  The worker
+    # count does not change results; a test pins 1 and 2 workers to the
+    # same bits.
     try:
         return max(1, int(os.environ.get("QG3D_FFT_WORKERS", "1")))
     except ValueError:
@@ -126,17 +130,30 @@ def solve_stratified_poisson(q_hat: SpectralField, F: float | None = None) -> Sp
     result is set to zero, which pins the otherwise arbitrary constant.
     """
     grid = q_hat.grid
-    norm = l2_norm(q_hat)
-    mean = abs(q_hat.coeffs[0, 0, 0])
-    if mean > 1e-12 * norm:
-        raise NonZeroMeanError(
-            f"zero mode {mean:.3e} exceeds 1e-12 * ||q||_L2 = {1e-12 * norm:.3e}"
-        )
-    sym = grid.stratified_symbol(F).copy()
-    sym[0, 0, 0] = 1.0  # gauge slot, solution mean forced to zero below
-    out = q_hat.coeffs / sym
+    q = np.ascontiguousarray(q_hat.coeffs)
+    mean = abs(q[0, 0, 0])
+    if mean > 0.0:  # an exactly zero mean passes without the norm
+        norm = l2_norm(q_hat)
+        if mean > 1e-12 * norm:
+            raise NonZeroMeanError(
+                f"zero mode {mean:.3e} exceeds 1e-12 * ||q||_L2 = {1e-12 * norm:.3e}"
+            )
+    # numpy divides a complex by a real as a product with the reciprocal, so
+    # multiplying the real and imaginary parts by 1/symbol gives the same bits
+    out = np.empty_like(q)
+    np.multiply(q.view(np.float64), _inverse_symbol(grid, grid.F if F is None else F),
+                out=out.view(np.float64))
     out[0, 0, 0] = 0.0
     return SpectralField(grid, out)
+
+
+@lru_cache(maxsize=8)
+def _inverse_symbol(grid: GridSpec, F: float) -> np.ndarray:
+    """1 / stratified symbol, each entry twice: the real and imaginary parts
+    of a complex128 half spectrum viewed as float64."""
+    sym = grid.stratified_symbol(F).copy()
+    sym[0, 0, 0] = 1.0  # gauge slot, solution mean forced to zero by the caller
+    return np.repeat(1.0 / sym, 2, axis=-1)
 
 
 def dealias(fh: SpectralField) -> SpectralField:

@@ -121,23 +121,57 @@ def rk4_step(state: State, dt: float, forcing: Forcing = NO_FORCING) -> State:
             grid, q_c, t_c, p, forcing, include_viscosity=not viscous
         )
 
+    # Each stage is formed in place, in one buffer and the k arrays, by the
+    # operations of these expressions in their order of evaluation, so every
+    # result rounds exactly as written (h = dt/2):
+    #   k2 = rhs(q + h k1),  k3 = rhs(q + h k2),  k4 = rhs(q + dt k3),
+    #   q_new = q + (dt/6) (k1 + 2 k2 + 2 k3 + k4);
+    # with viscosity,
+    #   k2 = rhs(e_half (q + h k1)),  k3 = rhs(e_half q + h k2),
+    #   k4 = rhs(e_full q + dt (e_half k3)),
+    #   q_new = e_full q + (dt/6) (e_full k1 + 2 (e_half (k2 + k3)) + k4).
+    h = 0.5 * dt
     # a diverging step overflows before it goes non-finite; keep that quiet
     # so the failure surfaces as the typed error below, not warning spam
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = rhs(q, t)
+        stage = np.multiply(k1, h)
+        stage += q
         if viscous:
             e_half, e_full = _viscous_factors(grid, p.nu, dt)
-            k2 = rhs(e_half * (q + (0.5 * dt) * k1), t + 0.5 * dt)
-            k3 = rhs(e_half * q + (0.5 * dt) * k2, t + 0.5 * dt)
-            k4 = rhs(e_full * q + dt * (e_half * k3), t + dt)
-            q_new = e_full * q + (dt / 6.0) * (
-                e_full * k1 + 2.0 * (e_half * (k2 + k3)) + k4
-            )
+            stage *= e_half
+            k2 = rhs(stage, t + h)
+            base = np.multiply(e_half, q)
+            np.multiply(k2, h, out=stage)
+            stage += base
+            k3 = rhs(stage, t + h)
+            np.multiply(e_full, q, out=base)
+            np.multiply(e_half, k3, out=stage)
+            stage *= dt
+            stage += base
+            k4 = rhs(stage, t + dt)
+            k2 += k3
+            k2 *= e_half
+            k2 *= 2.0
+            k1 *= e_full
+            k1 += k2
         else:
-            k2 = rhs(q + (0.5 * dt) * k1, t + 0.5 * dt)
-            k3 = rhs(q + (0.5 * dt) * k2, t + 0.5 * dt)
-            k4 = rhs(q + dt * k3, t + dt)
-            q_new = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            base = q
+            k2 = rhs(stage, t + h)
+            np.multiply(k2, h, out=stage)
+            stage += q
+            k3 = rhs(stage, t + h)
+            np.multiply(k3, dt, out=stage)
+            stage += q
+            k4 = rhs(stage, t + dt)
+            k2 *= 2.0
+            k1 += k2
+            k3 *= 2.0
+            k1 += k3
+        k1 += k4
+        k1 *= dt / 6.0
+        k1 += base
+        q_new = k1
 
     q_new[0, 0, 0] = 0.0
     if not np.all(np.isfinite(q_new)):

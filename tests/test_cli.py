@@ -7,6 +7,7 @@ exercised by spawning the interpreter, since that is how callers see it.
 import importlib
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -163,6 +164,19 @@ def test_run_emits_outputs_and_check_table(tmp_path, monkeypatch, capsys):
     assert snaps == ["snapshot_00000.qg3d", "snapshot_00001.qg3d", "snapshot_00002.qg3d"]
     final = read_snapshot(out / "final.qg3d")
     assert final.t == 0.05
+
+
+def test_snapshots_get_the_same_mode_as_the_csvs(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, ROSSBY_16)
+    out = use_out(monkeypatch, tmp_path, "out")
+    saved = os.umask(0o022)
+    try:
+        assert main(["run", cfg]) == 0
+    finally:
+        os.umask(saved)
+    names = ["final.qg3d", "checkpoint.qg3d", "checkpoint.qg3d.meta.json", "diagnostics.csv"]
+    modes = {name: oct(stat.S_IMODE(os.stat(out / name).st_mode)) for name in names}
+    assert modes == dict.fromkeys(names, oct(0o644))
 
 
 def test_blowup_exits_2_and_keeps_partial_diagnostics(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,8 @@
 paths, and checkpoint sidecar metadata."""
 
 import json
+import os
+import stat
 import struct
 
 import numpy as np
@@ -140,6 +142,17 @@ def test_checkpoint_sidecar(tmp_path):
     back, meta2 = read_checkpoint(path)
     assert back.t == 0.75
     assert meta2 == meta
+
+
+def test_written_files_follow_the_umask(tmp_path):
+    path = tmp_path / "s.qg3d"
+    saved = os.umask(0o027)
+    try:
+        write_checkpoint(sample_state(), path, "digest")
+    finally:
+        os.umask(saved)
+    for p in (path, checkpoint_meta_path(path)):
+        assert stat.S_IMODE(os.stat(p).st_mode) == 0o640
 
 
 def test_missing_file_raises_io_error(tmp_path):

@@ -127,6 +127,17 @@ def test_runs_are_deterministic():
     assert np.array_equal(outs[0], outs[1])
 
 
+def test_runs_do_not_depend_on_the_fft_worker_count(monkeypatch):
+    grid = GridSpec(32, 32, 16)
+    control = StepControl(mode="fixed", dt_fixed=2e-3)
+    state = make_random(grid, -3.0, 1.0, 11, band=(2, 8))
+    outs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("QG3D_FFT_WORKERS", workers)
+        outs.append(run(state, 5 * 2e-3, control).q_hat.coeffs.tobytes())
+    assert outs[0] == outs[1]
+
+
 def test_blowup_raises_nonfinite_with_time():
     grid = GridSpec(16, 16, 1)
     state = make_random(grid, -1.0, 50.0, 2, band=(2, 5))
