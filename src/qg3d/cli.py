@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .config import (
     RunConfig,
+    adopt_state,
     build_initial_state,
     build_particle_sets,
     config_digest,
@@ -182,10 +183,7 @@ def _cmd_run(args) -> int:
         state, meta = read_checkpoint(args.restart)
         if meta.get("config_sha256") not in (None, config_digest(cfg)):
             _eprint("warning: checkpoint was produced under a different config")
-        if state.grid != grid_spec(cfg):
-            _eprint("error: checkpoint grid does not match the configured grid")
-            return 1
-        state = State(state.q_hat, state.t, physics_params(cfg))
+        state = adopt_state(cfg, state, "checkpoint")
         _eprint(f"restarting from t = {state.t:.6g}")
     else:
         state = build_initial_state(cfg)
@@ -254,8 +252,8 @@ def _cmd_verify(args) -> int:
 
 def _converge_temporal() -> tuple[list[float], list[float]]:
     """Global wave error at t = 1 for a halving dt ladder; returns errors
-    and observed orders.  A fast mode (frequency 8) keeps the errors far
-    above the rounding floor so the ratios are clean."""
+    and the ratios of successive errors.  A fast mode (frequency 8) keeps
+    the errors far above the rounding floor so the ratios are clean."""
     grid = GridSpec(16, 16, 16)
     errors = []
     for dt in (4e-3, 2e-3, 1e-3):
@@ -264,8 +262,8 @@ def _converge_temporal() -> tuple[list[float], list[float]]:
         final = run(state, 1.0, control)
         err = np.max(np.abs(inv(grid, final.q_hat.coeffs - exact(1.0).coeffs)))
         errors.append(float(err))
-    orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
-    return errors, orders
+    ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
+    return errors, ratios
 
 
 def _fixed_control(dt: float):
@@ -277,7 +275,7 @@ def _fixed_control(dt: float):
 def _converge_spatial(F: float) -> list[tuple[int, float]]:
     rows = []
     for n in (4, 8, 16, 32):
-        grid = GridSpec(n, n, n, F=F)
+        grid = GridSpec(n, n, n)
         state, exact = make_rossby(grid, F, 1.0, 1, 1, 1, 1.0)
         final = run(state, 0.25, _fixed_control(1e-3))
         err = np.max(np.abs(inv(grid, final.q_hat.coeffs - exact(0.25).coeffs)))
@@ -287,21 +285,22 @@ def _converge_spatial(F: float) -> list[tuple[int, float]]:
 
 def _cmd_converge(args) -> int:
     cfg = _load_config(args.config)
-    errors, orders = _converge_temporal()
+    errors, ratios = _converge_temporal()
     _eprint("temporal refinement (wave frequency 8, t = 1):")
     for dt, err in zip((4e-3, 2e-3, 1e-3), errors):
         _eprint(f"  dt = {dt:.0e}  max error = {err:.6e}")
-    for i, order in enumerate(orders):
-        _eprint(f"  observed order (level {i}) = {order:.3f}")
+    for i, ratio in enumerate(ratios):
+        _eprint(f"  level {i}: error ratio {ratio:.2f}, observed order {math.log2(ratio):.3f}")
     rows = _converge_spatial(cfg.F)
     _eprint("spatial refinement (single mode, t = 0.25):")
     for n, err in rows:
         _eprint(f"  n = {n:3d}  max error = {err:.6e}")
-    orders_ok = all(3.8 <= o <= 4.2 for o in orders)
+    # a ratio of 2^4 = 16 is fourth order; [14, 18] is acceptance criterion 3
+    ratios_ok = all(14.0 <= r <= 18.0 for r in ratios)
     spatial_ok = all(err <= 1e-10 for n, err in rows if n >= 8)
-    _eprint(f"temporal order in [3.8, 4.2]: {'yes' if orders_ok else 'NO'}")
+    _eprint(f"temporal error ratios in [14, 18]: {'yes' if ratios_ok else 'NO'}")
     _eprint(f"spatial floor <= 1e-10 for n >= 8: {'yes' if spatial_ok else 'NO'}")
-    return 0 if (orders_ok and spatial_ok) else 3
+    return 0 if (ratios_ok and spatial_ok) else 3
 
 
 def _cmd_trace(args) -> int:
@@ -386,7 +385,9 @@ def _cmd_info(args) -> int:
     psi_hat = solve_stratified_poisson(q_proj, p.F)
     from .spectral import velocity_spectra
 
-    v_sq = sum(l2_norm(vh) ** 2 for vh in velocity_spectra(psi_hat))
+    # the energy norm of record's v_l2: the vertical component weighs F^2
+    v1h, v2h, v3h = velocity_spectra(psi_hat)
+    v_sq = l2_norm(v1h) ** 2 + l2_norm(v2h) ** 2 + (p.F * p.F) * l2_norm(v3h) ** 2
     _eprint(f"||q||_L2 = {l2_norm(q_hat):.9e}")
     _eprint(f"||q||_Linf = {np.max(np.abs(inv(grid, q_hat.coeffs))):.9e}")
     _eprint(f"||v||_L2 = {math.sqrt(v_sq):.9e}")

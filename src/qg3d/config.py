@@ -238,7 +238,7 @@ def validate_config(cfg: RunConfig) -> None:
     except ValueError as exc:
         fail(f"grid: {exc}")
     try:
-        PhysicsParams(beta=cfg.beta, nu=cfg.nu, F=cfg.F)
+        physics_params(cfg)
     except ValueError as exc:
         fail(f"physics: {exc}")
     if cfg.ic.kind not in IC_KINDS:
@@ -283,7 +283,7 @@ def validate_config(cfg: RunConfig) -> None:
 def grid_spec(cfg: RunConfig) -> GridSpec:
     return GridSpec(
         nx=cfg.nx, ny=cfg.ny, nz=cfg.nz,
-        lx=cfg.lx, ly=cfg.ly, lz=cfg.lz, F=cfg.F,
+        lx=cfg.lx, ly=cfg.ly, lz=cfg.lz,
     )
 
 
@@ -325,13 +325,18 @@ def build_initial_state(cfg: RunConfig) -> State:
     if ic.kind == "file":
         from .snapshots import read_snapshot
 
-        state = read_snapshot(ic.path)
-        if state.grid != grid:
-            raise ConfigValidationError(
-                f"snapshot grid {state.grid} does not match configured grid {grid}"
-            )
-        return State(state.q_hat, state.t, params)
+        return adopt_state(cfg, read_snapshot(ic.path), "snapshot")
     raise ConfigValidationError(f"unhandled ic.kind {ic.kind!r}")
+
+
+def adopt_state(cfg: RunConfig, state: State, source: str) -> State:
+    """``state`` (read from ``source``) under the config's physics; its grid and F must match."""
+    grid = grid_spec(cfg)
+    if state.grid != grid:
+        raise ConfigValidationError(f"{source} grid {state.grid} != configured grid {grid}")
+    if state.params.F != cfg.F:
+        raise ConfigValidationError(f"{source} F = {state.params.F!r} != configured F = {cfg.F!r}")
+    return State(state.q_hat, state.t, physics_params(cfg))
 
 
 def build_particle_sets(cfg: RunConfig, grid: GridSpec) -> list[ParticleSet]:

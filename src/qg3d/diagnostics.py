@@ -51,6 +51,8 @@ CSV_COLUMNS = (
 class DiagnosticsRecord:
     """All monitored norms at one instant.
 
+    ``v_l2`` is the L2 norm of (v1, v2, F v3), whose square is the energy
+    the inviscid dynamics conserve; ``v_linf`` is the plain |v| maximum.
     The trailing grad_v_l2/l4/l6 entries feed the reported (never asserted)
     inequality ratios and are not part of the CSV schema.
     """
@@ -123,7 +125,15 @@ def record(state: State, m: int = 4) -> DiagnosticsRecord:
     v1 = inv(grid, v1h.coeffs)
     v2 = inv(grid, v2h.coeffs)
     v3 = inv(grid, v3h.coeffs)
-    vmag = np.sqrt(v1 * v1 + v2 * v2 + v3 * v3)
+    # squared in place: v1 and v3 are not used again, so no array is added
+    vh_sq = np.multiply(v1, v1, out=v1)
+    vh_sq += v2 * v2
+    v3_sq = np.multiply(v3, v3, out=v3)
+    vmag = np.sqrt(vh_sq + v3_sq)
+    # the conserved energy weights the vertical component by F^2
+    v3_sq *= state.params.F * state.params.F
+    vh_sq += v3_sq
+    vmag_energy = np.sqrt(vh_sq, out=vh_sq)
 
     dv = grid.cell_volume
 
@@ -152,7 +162,7 @@ def record(state: State, m: int = 4) -> DiagnosticsRecord:
 
     return DiagnosticsRecord(
         t=state.t,
-        v_l2=_lp_raw(dv, vmag, 2),
+        v_l2=_lp_raw(dv, vmag_energy, 2),
         q_l2=_lp_raw(dv, q, 2),
         q_l4=_lp_raw(dv, q, 4),
         q_l6=_lp_raw(dv, q, 6),
@@ -178,9 +188,8 @@ def check_conservation(
 ) -> list[CheckResult]:
     """Relative drift of the two exactly conserved norms.
 
-    Valid for inviscid unforced runs.  The velocity-norm identity assumes
-    the stratification ratio is 1; otherwise only the F-weighted form is
-    conserved and this check will report honest drift.
+    Valid for inviscid unforced runs.  ``v_l2`` is the F-weighted energy
+    norm, which is the conserved one for every stratification ratio.
     """
     if not history:
         raise InsufficientHistoryError("need at least one record")

@@ -25,7 +25,8 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class PhysicsParams:
-    """Physical constants of the model: beta >= any, nu >= 0, F > 0."""
+    """Physical constants of the model: beta >= any, nu >= 0, F > 0.  F is
+    the stratification ratio of the elliptic operator; no other object holds it."""
 
     beta: float = 1.0
     nu: float = 0.0
@@ -42,25 +43,16 @@ class PhysicsParams:
 class Forcing:
     """External source term, evaluated in spectral space at a given time.
 
-    ``kind`` is one of "none", "tabulated", "manufactured".  The evaluator
-    maps (grid, t) to the raw coefficient array of the source; its output is
-    projected to zero mean before use so the elliptic solve stays well posed.
+    The optional evaluator maps (grid, t) to the raw coefficient array of the
+    source; without one there is no forcing.  Its output is projected to zero
+    mean before use so the elliptic solve stays well posed.
     """
 
-    kind: str = "none"
     evaluator: Optional[Callable[[GridSpec, float], np.ndarray]] = None
-
-    def __post_init__(self):
-        if self.kind not in ("none", "tabulated", "manufactured"):
-            raise ValueError(f"unknown forcing kind {self.kind!r}")
-        if self.kind == "none" and self.evaluator is not None:
-            raise ValueError("kind 'none' must not carry an evaluator")
-        if self.kind != "none" and self.evaluator is None:
-            raise ValueError(f"kind {self.kind!r} needs an evaluator")
 
     @property
     def active(self) -> bool:
-        return self.kind != "none"
+        return self.evaluator is not None
 
     def spectral(self, grid: GridSpec, t: float) -> np.ndarray:
         if self.evaluator is None:

@@ -19,9 +19,6 @@ class GridSpec:
 
     Axis sizes must be >= 1 and even whenever they exceed 1; the even
     constraint keeps the Nyquist bookkeeping of the real transform simple.
-    ``F`` is the stratification ratio that weights the vertical second
-    derivative inside the elliptic operator relating the streamfunction to
-    the advected scalar.
     """
 
     nx: int
@@ -30,7 +27,6 @@ class GridSpec:
     lx: float = 2.0 * np.pi
     ly: float = 2.0 * np.pi
     lz: float = 2.0 * np.pi
-    F: float = 1.0
 
     def __post_init__(self):
         for name in ("nx", "ny", "nz"):
@@ -43,8 +39,6 @@ class GridSpec:
             length = getattr(self, name)
             if not length > 0.0:
                 raise ValueError(f"{name} must be positive, got {length!r}")
-        if not self.F > 0.0:
-            raise ValueError(f"F must be positive, got {self.F!r}")
 
     # ---- shapes and cell geometry -------------------------------------
 
@@ -170,19 +164,8 @@ class GridSpec:
         kz2 = (self.kz**2).reshape(-1, 1, 1)
         return kx2 + ky2 + kz2
 
-    def stratified_symbol(self, F: float | None = None) -> np.ndarray:
+    def stratified_symbol(self, F: float) -> np.ndarray:
         """Symbol of the elliptic operator: -(kx^2 + ky^2 + F^2 kz^2)."""
-        if F is None:
-            F = self.F
-        if F == self.F:
-            return self._stratified_symbol_own
-        return self._build_stratified_symbol(F)
-
-    @cached_property
-    def _stratified_symbol_own(self) -> np.ndarray:
-        return self._build_stratified_symbol(self.F)
-
-    def _build_stratified_symbol(self, F: float) -> np.ndarray:
         kx2 = (self.kx**2).reshape(1, 1, -1)
         ky2 = (self.ky**2).reshape(1, -1, 1)
         kz2 = (self.kz**2).reshape(-1, 1, 1)

@@ -102,7 +102,7 @@ def make_random(
     reproduces the field bitwise.
     """
     if params is None:
-        params = PhysicsParams(F=grid.F)
+        params = PhysicsParams()
     if band is None:
         sizes = [n for n in (grid.nx, grid.ny, grid.nz) if n > 1]
         if not sizes:
@@ -165,7 +165,7 @@ def make_blob(
     if not width > 0.0:
         raise ValueError(f"width must be positive, got {width}")
     if params is None:
-        params = PhysicsParams(F=grid.F)
+        params = PhysicsParams()
 
     def periodized(coord: np.ndarray, c: float, length: float) -> np.ndarray:
         acc = np.zeros_like(coord)
@@ -194,7 +194,7 @@ def make_zonal(
     advection term and the beta term both vanish.
     """
     if params is None:
-        params = PhysicsParams(F=grid.F)
+        params = PhysicsParams()
     prof = np.asarray(profile, dtype=np.float64)
     if prof.shape != (grid.ny,):
         raise ValueError(f"profile needs {grid.ny} samples, got {prof.shape}")
@@ -345,4 +345,4 @@ def make_mms(
         return out
 
     state = State(manufactured_solution(grid, target, params.F, 0.0), 0.0, params)
-    return state, Forcing(kind="manufactured", evaluator=evaluator)
+    return state, Forcing(evaluator)

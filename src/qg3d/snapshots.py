@@ -96,7 +96,7 @@ def read_snapshot(path) -> State:
             f"{path}: payload is {len(payload)} bytes, header promises {expected}"
         )
     try:
-        grid = GridSpec(nx=int(nx), ny=int(ny), nz=int(nz), lx=lx, ly=ly, lz=lz, F=F)
+        grid = GridSpec(nx=int(nx), ny=int(ny), nz=int(nz), lx=lx, ly=ly, lz=lz)
         params = PhysicsParams(beta=beta, nu=nu, F=F)
         if not (np.isfinite(t) and t >= 0.0):
             raise ValueError(f"time must be finite and >= 0, got {t}")
@@ -128,4 +128,10 @@ def read_checkpoint(path) -> tuple[State, dict]:
     meta = {}
     if meta_path.exists():
         meta = json.loads(meta_path.read_text(encoding="ascii"))
+        # the snapshot and its sidecar are two writes; a crash between them
+        # leaves a sidecar that describes an older state
+        if meta.get("time") != state.t:
+            raise SnapshotFormatError(
+                f"{path}: sidecar time {meta.get('time')!r} != snapshot time {state.t!r}"
+            )
     return state, meta

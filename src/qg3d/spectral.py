@@ -116,12 +116,12 @@ def derivative(fh: SpectralField, axis: str) -> SpectralField:
     return SpectralField(fh.grid, fh.coeffs * mult)
 
 
-def apply_stratified_laplacian(psi_hat: SpectralField, F: float | None = None) -> SpectralField:
-    """Multiply by -(kx^2 + ky^2 + F^2 kz^2); F defaults to the grid's value."""
+def apply_stratified_laplacian(psi_hat: SpectralField, F: float) -> SpectralField:
+    """Multiply by -(kx^2 + ky^2 + F^2 kz^2)."""
     return SpectralField(psi_hat.grid, psi_hat.coeffs * psi_hat.grid.stratified_symbol(F))
 
 
-def solve_stratified_poisson(q_hat: SpectralField, F: float | None = None) -> SpectralField:
+def solve_stratified_poisson(q_hat: SpectralField, F: float) -> SpectralField:
     """Invert the stratified Laplacian with the zero-mean gauge.
 
     The right-hand side must have (numerically) no mean: the zero mode is
@@ -141,8 +141,7 @@ def solve_stratified_poisson(q_hat: SpectralField, F: float | None = None) -> Sp
     # numpy divides a complex by a real as a product with the reciprocal, so
     # multiplying the real and imaginary parts by 1/symbol gives the same bits
     out = np.empty_like(q)
-    np.multiply(q.view(np.float64), _inverse_symbol(grid, grid.F if F is None else F),
-                out=out.view(np.float64))
+    np.multiply(q.view(np.float64), _inverse_symbol(grid, F), out=out.view(np.float64))
     out[0, 0, 0] = 0.0
     return SpectralField(grid, out)
 

@@ -51,6 +51,22 @@ time.t_end = 10.0
 output.record_every = 2.0
 """
 
+# an inviscid run whose energy holds only in its F-weighted form
+STRATIFIED_F2 = """\
+grid.nx = 16
+grid.ny = 16
+grid.nz = 16
+physics.F = 2.0
+ic.kind = random_spectrum
+ic.seed = 1
+ic.band_lo = 2
+ic.band_hi = 4
+time.mode = fixed
+time.dt = 1e-3
+time.t_end = 0.5
+output.record_every = 0.05
+"""
+
 RANDOM_8 = """\
 grid.nx = 8
 grid.ny = 8
@@ -177,6 +193,15 @@ def test_snapshots_get_the_same_mode_as_the_csvs(tmp_path, monkeypatch, capsys):
     names = ["final.qg3d", "checkpoint.qg3d", "checkpoint.qg3d.meta.json", "diagnostics.csv"]
     modes = {name: oct(stat.S_IMODE(os.stat(out / name).st_mode)) for name in names}
     assert modes == dict.fromkeys(names, oct(0o644))
+
+
+def test_run_with_F_2_passes_its_energy_check(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, STRATIFIED_F2)
+    use_out(monkeypatch, tmp_path, "f2")
+    code = main(["run", cfg])
+    err = capsys.readouterr().err
+    assert code == 0, err
+    assert "v_l2 conservation" in err
 
 
 def test_blowup_exits_2_and_keeps_partial_diagnostics(tmp_path, monkeypatch, capsys):
@@ -347,6 +372,11 @@ def test_restart_grid_mismatch_exits_1(tmp_path, monkeypatch, capsys):
     use_out(monkeypatch, tmp_path, "b")
     assert main(["run", cfg8, "--restart", str(out / "checkpoint.qg3d")]) == 1
     assert "grid" in capsys.readouterr().err
+    cfg_f2 = write_cfg(tmp_path, ROSSBY_16 + "physics.F = 2.0\n", "c.cfg")
+    use_out(monkeypatch, tmp_path, "c")
+    assert main(["run", cfg_f2, "--restart", str(out / "checkpoint.qg3d")]) == 1
+    err = capsys.readouterr().err
+    assert "F = 1.0" in err and "F = 2.0" in err
 
 
 def test_seed_flag_overrides_and_runs_are_deterministic(tmp_path, monkeypatch, capsys):

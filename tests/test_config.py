@@ -112,7 +112,6 @@ def test_builders_produce_consistent_objects():
     cfg = parse_config("grid.nx = 16\ngrid.ny = 16\ngrid.nz = 8\nphysics.F = 2.0")
     grid = grid_spec(cfg)
     assert grid.shape == (8, 16, 16)
-    assert grid.F == 2.0
     params = physics_params(cfg)
     assert params.F == 2.0
     control = step_control(cfg)
@@ -153,6 +152,12 @@ def test_file_ic_grid_mismatch_rejected(tmp_path):
     )
     with pytest.raises(ConfigValidationError):
         build_initial_state(cfg)
+    cfg_f2 = parse_config(
+        "grid.nx = 8\ngrid.ny = 8\ngrid.nz = 8\nphysics.F = 2.0\n"
+        f"ic.kind = file\nic.path = {snap}"
+    )
+    with pytest.raises(ConfigValidationError, match=r"F = 1\.0 != configured F = 2\.0"):
+        build_initial_state(cfg_f2)
 
 
 def test_build_particle_sets_layout():

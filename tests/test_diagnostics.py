@@ -100,6 +100,17 @@ def test_record_single_harmonic_closed_forms():
     assert abs(r.d2q_l3 - want) < 2e-3 * want
     assert abs(r.grad_v_linf - A) < 1e-12
 
+    # F = 2, psi = A cos(x + z): q = -(1 + F^2) psi, v = (0, -A sin, -A sin).
+    # v_l2 is the energy norm ||v1||^2 + ||v2||^2 + F^2 ||v3||^2, so it
+    # counts the vertical component four times; v_linf is the plain |v|.
+    F = 2.0
+    state, _ = make_rossby(grid, F, 1.0, 1, 0, 1, A)
+    r = record(state, m=4)
+    assert abs(r.q_l2 - (1.0 + F * F) * l2) < 1e-12 * r.q_l2
+    assert abs(r.v_l2 - np.sqrt(1.0 + F * F) * l2) < 1e-12 * r.v_l2
+    assert abs(r.v_linf - np.sqrt(2.0) * A) < 1e-12
+    assert abs(r.v2_linf - A) < 1e-12
+
 
 def test_record_time_field():
     grid = GridSpec(8, 8, 8)

@@ -102,7 +102,7 @@ def test_tendency_neutrality_identities():
         state = make_random(grid, -3.0, 1.0, seed)
         q_hat = state.q_hat
         T = SpectralField(grid, tendency_raw(grid, q_hat.coeffs, 0.0, state.params))
-        psi_hat = solve_stratified_poisson(q_hat)
+        psi_hat = solve_stratified_poisson(q_hat, state.params.F)
         scale = l2_norm(T)
         assert abs(inner_product(T, q_hat)) < 1e-12 * scale * l2_norm(q_hat)
         assert abs(inner_product(T, psi_hat)) < 1e-12 * scale * l2_norm(psi_hat)
@@ -123,7 +123,7 @@ def test_forcing_projects_mean_and_checks_shape():
         c[0, 1, 1] = 1.0 + 2.0j
         return c
 
-    forcing = Forcing(kind="tabulated", evaluator=with_mean)
+    forcing = Forcing(with_mean)
     out = forcing.spectral(grid, 0.0)
     assert out[0, 0, 0] == 0.0
     assert out[0, 1, 1] == 1.0 + 2.0j
@@ -132,7 +132,7 @@ def test_forcing_projects_mean_and_checks_shape():
         return np.zeros((2, 2, 2), dtype=np.complex128)
 
     with pytest.raises(GridMismatchError):
-        Forcing(kind="tabulated", evaluator=bad_shape).spectral(grid, 0.0)
+        Forcing(bad_shape).spectral(grid, 0.0)
 
 
 def test_no_forcing_is_inactive():

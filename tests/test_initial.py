@@ -247,7 +247,7 @@ def test_mms_run_reproduces_target():
 
 
 def test_manufactured_solution_is_symbol_times_target():
-    grid = GridSpec(16, 16, 8, F=2.0)
+    grid = GridSpec(16, 16, 8)
     target = (TrigTerm(amplitude=0.5, xkind="cos", sx=2, zkind="sin", sz=1),)
     got = manufactured_solution(grid, target, 2.0, 0.0)
     X, _, Z = grid.mesh()

@@ -26,7 +26,7 @@ from qg3d.stepping import State
 
 
 def sample_state(seed=0, t=1.5):
-    grid = GridSpec(16, 16, 16, F=2.0)
+    grid = GridSpec(16, 16, 16)
     params = PhysicsParams(beta=0.5, nu=0.01, F=2.0)
     state = make_random(grid, -3.0, 1.0, seed, params=params)
     return State(state.q_hat, t, params)
@@ -142,6 +142,15 @@ def test_checkpoint_sidecar(tmp_path):
     back, meta2 = read_checkpoint(path)
     assert back.t == 0.75
     assert meta2 == meta
+    # a crash between the two writes leaves a new snapshot next to the
+    # sidecar of an older one
+    write_snapshot(sample_state(t=1.0), path)
+    with pytest.raises(SnapshotFormatError, match="sidecar"):
+        read_checkpoint(path)
+    # without a sidecar the snapshot alone is a valid checkpoint
+    meta_file.unlink()
+    back, meta3 = read_checkpoint(path)
+    assert back.t == 1.0 and meta3 == {}
 
 
 def test_written_files_follow_the_umask(tmp_path):

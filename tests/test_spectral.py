@@ -102,21 +102,21 @@ def test_nonuniform_box_derivative():
 
 
 def test_poisson_inverts_laplacian():
-    grid = GridSpec(16, 16, 16, F=2.5)
+    grid = GridSpec(16, 16, 16)
     c = fwd(grid, random_field(grid, seed=5))
     c[0, 0, 0] = 0.0
     q = SpectralField(grid, c)
-    psi = solve_stratified_poisson(q)
-    back = apply_stratified_laplacian(psi)
+    psi = solve_stratified_poisson(q, 2.5)
+    back = apply_stratified_laplacian(psi, 2.5)
     assert np.max(np.abs(back.coeffs - q.coeffs)) < 1e-12 * np.max(np.abs(q.coeffs))
 
 
 def test_poisson_single_mode_closed_form():
     # psi = -q / (kx^2 + ky^2 + F^2 kz^2) mode by mode
-    grid = GridSpec(16, 16, 16, F=3.0)
+    grid = GridSpec(16, 16, 16)
     X, Y, Z = grid.mesh()
     q = np.cos(X + 2 * Y + Z)
-    psi = solve_stratified_poisson(SpectralField(grid, fwd(grid, q)))
+    psi = solve_stratified_poisson(SpectralField(grid, fwd(grid, q)), 3.0)
     expected = -q / (1.0 + 4.0 + 9.0)
     assert np.max(np.abs(inv(grid, psi.coeffs) - expected)) < 1e-13
 
@@ -125,14 +125,14 @@ def test_poisson_rejects_nonzero_mean():
     grid = GridSpec(8, 8, 8)
     c = fwd(grid, random_field(grid) + 1.0)
     with pytest.raises(NonZeroMeanError):
-        solve_stratified_poisson(SpectralField(grid, c))
+        solve_stratified_poisson(SpectralField(grid, c), 1.0)
 
 
 def test_poisson_output_has_zero_mean():
     grid = GridSpec(8, 8, 8)
     c = fwd(grid, random_field(grid, seed=2))
     c[0, 0, 0] = 0.0
-    psi = solve_stratified_poisson(SpectralField(grid, c))
+    psi = solve_stratified_poisson(SpectralField(grid, c), 1.0)
     assert psi.coeffs[0, 0, 0] == 0.0
 
 
