@@ -138,6 +138,8 @@ def _simulate(cfg: RunConfig, state: State, out: Path, extra_observers=(), histo
     """Shared run loop: records, snapshots, checkpoints, final outputs.
 
     Pass ``history`` to keep the records reachable when the run raises.
+    Snapshots are numbered from round(t0 / output.snapshot_every), so a run
+    that starts at t0 > 0 does not overwrite the snapshots before t0.
     """
     if history is None:
         history = []
@@ -145,13 +147,13 @@ def _simulate(cfg: RunConfig, state: State, out: Path, extra_observers=(), histo
     observers = [
         Observer(lambda s: history.append(record(s, m)), every=cfg.output.record_every)
     ]
-    snap_index = [0]
-
-    def write_numbered_snapshot(s: State) -> None:
-        write_snapshot(s, out / f"snapshot_{snap_index[0]:05d}.qg3d")
-        snap_index[0] += 1
-
     if cfg.output.snapshot_every > 0.0:
+        snap_index = [round(state.t / cfg.output.snapshot_every)]
+
+        def write_numbered_snapshot(s: State) -> None:
+            write_snapshot(s, out / f"snapshot_{snap_index[0]:05d}.qg3d")
+            snap_index[0] += 1
+
         observers.append(Observer(write_numbered_snapshot, every=cfg.output.snapshot_every))
     digest = config_digest(cfg)
     if cfg.output.checkpoint_every > 0.0:
@@ -167,10 +169,24 @@ def _simulate(cfg: RunConfig, state: State, out: Path, extra_observers=(), histo
     return final, history
 
 
-def _finish_outputs(cfg: RunConfig, out: Path, history, final: State | None) -> None:
+def _finish_outputs(
+    cfg: RunConfig, out: Path, history, final: State | None, resumed_at=None
+) -> None:
+    """Write the CSVs and the final state.  ``resumed_at`` is the start time
+    of a restart: the CSV rows an earlier run wrote before it are kept."""
     if history:
-        write_diagnostics_csv(out / "diagnostics.csv", history)
-        write_ratios_csv(out / "ratios.csv", monitor_ratios(history))
+        for path, write in (
+            (out / "diagnostics.csv", lambda p: write_diagnostics_csv(p, history)),
+            (out / "ratios.csv", lambda p: write_ratios_csv(p, monitor_ratios(history))),
+        ):
+            kept = []
+            if resumed_at is not None and path.is_file():
+                rows = path.read_text(encoding="ascii").splitlines()[1:]
+                kept = [row for row in rows if float(row.split(",", 1)[0]) < resumed_at]
+            write(path)
+            if kept:
+                header, *rows = path.read_text(encoding="ascii").splitlines()
+                path.write_text("\n".join([header, *kept, *rows]) + "\n", encoding="ascii")
     if final is not None:
         write_snapshot(final, out / "final.qg3d")
         write_checkpoint(final, out / "checkpoint.qg3d", config_digest(cfg))
@@ -187,15 +203,16 @@ def _cmd_run(args) -> int:
         _eprint(f"restarting from t = {state.t:.6g}")
     else:
         state = build_initial_state(cfg)
+    resumed_at = state.t if args.restart else None
 
     history = []
     try:
         final, history = _simulate(cfg, state, out, history=history)
     except NonFiniteError as exc:
         _eprint(f"blow-up: {exc} (last good checkpoint retained)")
-        _finish_outputs(cfg, out, history, None)
+        _finish_outputs(cfg, out, history, None, resumed_at)
         return 2
-    _finish_outputs(cfg, out, history, final)
+    _finish_outputs(cfg, out, history, final, resumed_at)
     _eprint(f"run complete: t = {final.t:.6g}, {len(history)} records -> {out}")
 
     results = _evaluate_checks(cfg, history)

@@ -110,6 +110,19 @@ def lp_norm(f: PhysicalField, p: float) -> float:
     return _lp_raw(f.grid.cell_volume, f.values, p)
 
 
+def _hessian_magnitude(fh: SpectralField) -> np.ndarray:
+    """Frobenius norm of the Hessian on the grid, off-diagonal entries
+    counted twice."""
+    h2 = np.zeros(fh.grid.shape)
+    for ax1, ax2, mult in (
+        ("x", "x", 1.0), ("y", "y", 1.0), ("z", "z", 1.0),
+        ("x", "y", 2.0), ("x", "z", 2.0), ("y", "z", 2.0),
+    ):
+        comp = inv(fh.grid, derivative(derivative(fh, ax1), ax2).coeffs)
+        h2 += mult * comp * comp
+    return np.sqrt(h2, out=h2)
+
+
 def record(state: State, m: int = 4) -> DiagnosticsRecord:
     """Compute every monitored norm from the prognostic coefficients.
 
@@ -143,22 +156,10 @@ def record(state: State, m: int = 4) -> DiagnosticsRecord:
     qx, qy, qz = d(q_hat, "x"), d(q_hat, "y"), d(q_hat, "z")
     dqmag = np.sqrt(qx * qx + qy * qy + qz * qz)
 
-    # Hessian magnitude with the off-diagonal entries counted twice.
-    h2 = np.zeros_like(q)
-    for ax1, ax2, mult in (
-        ("x", "x", 1.0), ("y", "y", 1.0), ("z", "z", 1.0),
-        ("x", "y", 2.0), ("x", "z", 2.0), ("y", "z", 2.0),
-    ):
-        comp = inv(grid, derivative(derivative(q_hat, ax1), ax2).coeffs)
-        h2 += mult * comp * comp
-    d2qmag = np.sqrt(h2)
-
-    g2 = np.zeros_like(q)
-    for comp_hat in (v1h, v2h, v3h):
-        for axis in ("x", "y", "z"):
-            comp = d(comp_hat, axis)
-            g2 += comp * comp
-    gradvmag = np.sqrt(g2)
+    d2qmag = _hessian_magnitude(q_hat)
+    # v = (-psi_y, psi_x, psi_z), so the sum of (d_j v_i)^2 over all nine
+    # entries is the Hessian of psi with the off-diagonal entries twice
+    gradvmag = _hessian_magnitude(psi_hat)
 
     return DiagnosticsRecord(
         t=state.t,

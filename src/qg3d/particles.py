@@ -10,12 +10,12 @@ keeps interpolation error out of the comparison entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .grid import GridSpec
-from .spectral import SpectralField, solve_stratified_poisson, velocity_spectra
+from .spectral import SpectralField, solve_stratified_poisson
 from .stepping import State
 
 
@@ -61,68 +61,61 @@ class ParticleSet:
         return self.labels.shape[0]
 
 
+def _collapse_z(coeffs: np.ndarray, grid: GridSpec, z_level: float) -> np.ndarray:
+    """Half-spectrum coefficients summed over kz on one z plane, (ny, nxh)."""
+    phase_z = np.exp(1j * grid.kz * z_level)
+    return np.tensordot(phase_z, coeffs, axes=(0, 0))
+
+
+def _sum_at_points(tables: np.ndarray, grid: GridSpec, xy: np.ndarray) -> np.ndarray:
+    """Real values of planar coefficient tables (m, ny, nxh) at (x, y)
+    points, shape (n, m): two dense phase matrices, one matrix product."""
+    m, ny, nxh = tables.shape
+    ex = np.exp(1j * np.outer(xy[:, 0], grid.kx)) * grid.hermitian_weight.reshape(1, -1)
+    ey = np.exp(1j * np.outer(xy[:, 1], grid.ky))
+    rows = (ex @ tables.reshape(m * ny, nxh).T).reshape(-1, m, ny)
+    return (rows * ey[:, None, :]).sum(axis=2).real
+
+
 def evaluate_at_points(fh: SpectralField, xy: np.ndarray, z_level: float) -> np.ndarray:
     """Exact Fourier-series values of a real field at arbitrary (x, y) points
-    on a fixed z plane.
-
-    The vertical sum collapses first (one phase per kz), leaving a 2D
-    coefficient table that is evaluated through two dense phase matrices.
-    """
-    grid = fh.grid
-    phase_z = np.exp(1j * grid.kz * z_level)
-    table = np.tensordot(phase_z, fh.coeffs, axes=(0, 0))  # (ny, nxh)
-    x = np.ascontiguousarray(xy[:, 0])
-    y = np.ascontiguousarray(xy[:, 1])
-    ex = np.exp(1j * np.outer(x, grid.kx)) * grid.hermitian_weight.reshape(1, -1)
-    ey = np.exp(1j * np.outer(y, grid.ky))
-    return ((ex @ table.T) * ey).sum(axis=1).real
+    on a fixed z plane: the z sum collapses first, then the planar sum."""
+    table = _collapse_z(fh.coeffs, fh.grid, z_level)
+    return _sum_at_points(table[np.newaxis], fh.grid, xy)[:, 0]
 
 
-def sample_velocity(
-    v_pair: tuple[SpectralField, SpectralField],
-    points: np.ndarray,
-    z_level: float,
-) -> np.ndarray:
-    """Horizontal velocity (v1, v2) at off-grid points, shape (n, 2)."""
-    v1h, v2h = v_pair
-    out = np.empty((points.shape[0], 2))
-    out[:, 0] = evaluate_at_points(v1h, points, z_level)
-    out[:, 1] = evaluate_at_points(v2h, points, z_level)
-    return out
-
-
-VelocityAt = Callable[[float], tuple[SpectralField, SpectralField]]
+def velocity_table(psi_hat: SpectralField, z_level: float) -> np.ndarray:
+    """Planar coefficients of (v1, v2) = (-dpsi/dy, dpsi/dx) on one z plane,
+    shape (2, ny, nx // 2 + 1); the multipliers keep their Nyquist zeroing."""
+    grid = psi_hat.grid
+    plane = _collapse_z(psi_hat.coeffs, grid, z_level)
+    return np.stack((-(plane * grid.iky[0]), plane * grid.ikx[0]))
 
 
 def advance_particles(
     pset: ParticleSet,
-    velocity_at: VelocityAt,
-    t: float,
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
     dt: float,
     integrand_scale: float = 1.0,
 ) -> ParticleSet:
     """One RK4 step of the characteristics, integral accumulated in-stage.
 
-    The along-path integral of (scaled) v2 rides as an extra component of
-    the same RK4 system, so its quadrature carries the scheme's full order.
+    ``tables`` are the particles' level's velocity tables (``velocity_table``)
+    at the start, the midpoint and the end of the step.  The along-path
+    integral of (scaled) v2 rides as an extra component of the same RK4
+    system, so its quadrature carries the scheme's full order.
     ``integrand_scale`` multiplies the integrand; a zero turns accumulation
     off for runs where the scalar is purely transported.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    z = pset.z_level
-    spectra = {}
-
-    def vel(time: float, pts: np.ndarray) -> np.ndarray:
-        if time not in spectra:
-            spectra[time] = velocity_at(time)
-        return sample_velocity(spectra[time], pts, z)
-
+    start, mid, end = tables
+    grid = pset.grid
     x0 = pset.positions
-    k1 = vel(t, x0)
-    k2 = vel(t + 0.5 * dt, x0 + 0.5 * dt * k1)
-    k3 = vel(t + 0.5 * dt, x0 + 0.5 * dt * k2)
-    k4 = vel(t + dt, x0 + dt * k3)
+    k1 = _sum_at_points(start, grid, x0)
+    k2 = _sum_at_points(mid, grid, x0 + 0.5 * dt * k1)
+    k3 = _sum_at_points(mid, grid, x0 + 0.5 * dt * k2)
+    k4 = _sum_at_points(end, grid, x0 + dt * k3)
     new_pos = x0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     incr = (dt / 6.0) * (k1[:, 1] + 2.0 * k2[:, 1] + 2.0 * k3[:, 1] + k4[:, 1])
     return replace(
@@ -161,11 +154,14 @@ class TrajectorySample:
 class TrajectoryTracer:
     """Observer that advances particles alongside an Eulerian run.
 
-    Register with the time loop so it sees every accepted step.  Two solver
-    steps form one particle step: the buffered states at t, t+dt, t+2dt
-    supply exactly the RK4 stage times.  An odd step at the end (or a step
-    pair broken by event landing) falls back to midpoint-averaged spectra
-    for the middle stage, which costs one formally lower-order step.
+    Register with the time loop so it sees every accepted step.  Each
+    observed state costs one Poisson solve and one velocity table per
+    z-level.  Two solver steps form one particle step: the buffered tables
+    at t, t+dt, t+2dt supply exactly the RK4 stage times.  An odd step at
+    the end (or a step pair broken by event landing) falls back to the
+    average of the start and end tables for the middle stage, which costs
+    one formally lower-order step.  ``beta`` scales the integrand and must
+    equal the observed states' ``params.beta``.
     """
 
     def __init__(
@@ -183,16 +179,22 @@ class TrajectoryTracer:
         self.sample_every = sample_every
         self.samples: list[TrajectorySample] = []
         self.time: Optional[float] = None
-        self._buffer: list[tuple[float, SpectralField, SpectralField]] = []
+        # (t, one velocity table per particle set)
+        self._buffer: list[tuple[float, list[np.ndarray]]] = []
         self._latest_q: Optional[SpectralField] = None
         self._pair_count = 0
 
     def __call__(self, state: State) -> None:
+        if state.params.beta != self.beta:
+            raise ValueError(
+                f"tracer beta = {self.beta!r} differs from the state's beta = "
+                f"{state.params.beta!r}"
+            )
         if self.stop_time is not None and state.t > self.stop_time + 1e-12:
             return
         psi_hat = solve_stratified_poisson(state.q_hat, state.params.F)
-        v1h, v2h, _ = velocity_spectra(psi_hat)
-        self._buffer.append((state.t, v1h, v2h))
+        tables = [velocity_table(psi_hat, ps.z_level) for ps in self.sets]
+        self._buffer.append((state.t, tables))
         self._latest_q = state.q_hat
         if self.time is None:
             self.time = state.t
@@ -200,16 +202,14 @@ class TrajectoryTracer:
             self._consume()
 
     def _consume(self) -> None:
-        (t0, a1, a2), (tm, b1, b2), (t1, c1, c2) = self._buffer
-        dt_pair = t1 - t0
-        if abs((tm - t0) - (t1 - tm)) <= 1e-9 * max(dt_pair, 1e-300):
-            table = {t0: (a1, a2), t0 + 0.5 * dt_pair: (b1, b2), t1: (c1, c2)}
-            self._advance(table, t0, dt_pair)
+        (t0, a), (tm, b), (t1, c) = self._buffer
+        if abs((tm - t0) - (t1 - tm)) <= 1e-9 * max(t1 - t0, 1e-300):
+            self._advance(a, b, c, t1 - t0)
         else:
             # uneven pair: take each half as its own step with averaged
-            # midpoint spectra
-            self._advance_single((t0, a1, a2), (tm, b1, b2))
-            self._advance_single((tm, b1, b2), (t1, c1, c2))
+            # midpoint tables
+            self._advance_single(self._buffer[0], self._buffer[1])
+            self._advance_single(self._buffer[1], self._buffer[2])
         self._buffer = [self._buffer[-1]]
         self.time = t1
         self._pair_count += 1
@@ -217,25 +217,14 @@ class TrajectoryTracer:
             self._take_sample()
 
     def _advance_single(self, start, end) -> None:
-        (t0, a1, a2), (t1, c1, c2) = start, end
-        mid = (
-            SpectralField(a1.grid, 0.5 * (a1.coeffs + c1.coeffs)),
-            SpectralField(a2.grid, 0.5 * (a2.coeffs + c2.coeffs)),
-        )
-        dt = t1 - t0
-        table = {t0: (a1, a2), t0 + 0.5 * dt: mid, t1: (c1, c2)}
-        self._advance(table, t0, dt)
+        (t0, a), (t1, c) = start, end
+        mid = [0.5 * (ta + tc) for ta, tc in zip(a, c)]
+        self._advance(a, mid, c, t1 - t0)
 
-    def _advance(self, table, t0: float, dt: float) -> None:
-        times = sorted(table.keys())
-
-        def velocity_at(tt: float):
-            nearest = min(times, key=lambda s: abs(s - tt))
-            return table[nearest]
-
+    def _advance(self, start, mid, end, dt: float) -> None:
         self.sets = [
-            advance_particles(ps, velocity_at, t0, dt, integrand_scale=self.beta)
-            for ps in self.sets
+            advance_particles(ps, (s, m, e), dt, integrand_scale=self.beta)
+            for ps, s, m, e in zip(self.sets, start, mid, end)
         ]
 
     def finalize(self) -> None:

@@ -1,0 +1,38 @@
+"""The benchmark under ``bench/`` reaches into qg3d by name: it wraps the
+layer functions listed in ``bench/spans.py`` and ``TrajectoryTracer.__call__``.
+These checks fail when a refactor removes a name the benchmark needs."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import qg3d
+from qg3d.particles import TrajectoryTracer
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # read bench/ without writing a cache there
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_public_names_resolve():
+    assert [name for name in qg3d.__all__ if not hasattr(qg3d, name)] == []
+
+
+def test_benchmark_layer_functions_exist():
+    missing = []
+    for span, (home, attr) in load_spans().LAYER_FUNCTIONS.items():
+        if not callable(getattr(importlib.import_module(home), attr, None)):
+            missing.append(f"{span}: {home}.{attr}")
+    assert missing == []
+    assert callable(TrajectoryTracer.__dict__.get("__call__"))

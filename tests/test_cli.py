@@ -364,6 +364,38 @@ def test_restart_resumes_and_matches_direct_run(tmp_path, monkeypatch, capsys):
     assert rel <= 1e-12
 
 
+def test_restart_into_its_own_directory_keeps_earlier_outputs(
+    tmp_path, monkeypatch, capsys
+):
+    cfg = write_cfg(
+        tmp_path,
+        "grid.nx = 16\ngrid.ny = 16\ngrid.nz = 16\n"
+        "ic.kind = rossby\n"
+        "time.mode = fixed\ntime.dt = 5e-3\ntime.t_end = 1.0\n"
+        "output.record_every = 0.05\noutput.snapshot_every = 0.25\n",
+    )
+    direct = use_out(monkeypatch, tmp_path, "direct")
+    assert main(["run", cfg]) == 0
+    out = use_out(monkeypatch, tmp_path, "resumed")
+    assert main(["run", cfg]) == 0
+    first_rows = (out / "diagnostics.csv").read_text().splitlines()
+    assert main(["run", cfg, "--restart", str(out / "snapshot_00002.qg3d")]) == 0
+    assert "restarting from t = 0.5" in capsys.readouterr().err
+
+    snaps = sorted(out.glob("snapshot_*.qg3d"))
+    assert [p.name for p in snaps] == [f"snapshot_{i:05d}.qg3d" for i in range(5)]
+    assert [read_snapshot(p).t for p in snaps] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    # a restart's event times are t0 + j * every, which can round one ulp
+    # away from the direct run's j * every (0.6000000000000001 against 0.6)
+    for name in ("diagnostics.csv", "ratios.csv"):
+        got = np.loadtxt(out / name, delimiter=",", skiprows=1)[:, 0]
+        want = np.loadtxt(direct / name, delimiter=",", skiprows=1)[:, 0]
+        assert got.shape == want.shape == (21,)
+        assert np.max(np.abs(got - want)) <= 1e-15
+    # the 10 rows before t = 0.5 are the first run's, byte for byte
+    assert (out / "diagnostics.csv").read_text().splitlines()[:11] == first_rows[:11]
+
+
 def test_restart_grid_mismatch_exits_1(tmp_path, monkeypatch, capsys):
     cfg16 = write_cfg(tmp_path, ROSSBY_16, "a.cfg")
     out = use_out(monkeypatch, tmp_path, "a")

@@ -23,7 +23,15 @@ from qg3d.dynamics import PhysicsParams
 from qg3d.errors import InsufficientHistoryError
 from qg3d.grid import GridSpec
 from qg3d.initial import make_random, make_rossby, make_zonal
-from qg3d.spectral import PhysicalField, SpectralField
+from qg3d.spectral import (
+    PhysicalField,
+    SpectralField,
+    derivative,
+    fwd,
+    inv,
+    solve_stratified_poisson,
+    velocity_spectra,
+)
 from qg3d.stepping import Observer, State, StepControl, run
 
 V = (2.0 * np.pi) ** 3
@@ -110,6 +118,28 @@ def test_record_single_harmonic_closed_forms():
     assert abs(r.v_l2 - np.sqrt(1.0 + F * F) * l2) < 1e-12 * r.v_l2
     assert abs(r.v_linf - np.sqrt(2.0) * A) < 1e-12
     assert abs(r.v2_linf - A) < 1e-12
+
+
+def test_record_grad_v_matches_nine_component_reference():
+    # a full-spectrum state (Nyquist modes populated) with F != 1
+    grid = GridSpec(16, 16, 8)
+    q = fwd(grid, np.random.default_rng(4).standard_normal(grid.shape))
+    q[0, 0, 0] = 0.0
+    state = State(SpectralField(grid, q), 0.0, PhysicsParams(F=1.5))
+    psi = solve_stratified_poisson(state.q_hat, 1.5)
+    g2 = np.zeros(grid.shape)
+    for vh in velocity_spectra(psi):
+        for axis in ("x", "y", "z"):
+            comp = inv(grid, derivative(vh, axis).coeffs)
+            g2 += comp * comp
+    g = np.sqrt(g2)
+    dv = grid.cell_volume
+    want = {"grad_v_linf": np.max(g)}
+    for p in (2, 4, 6):
+        want[f"grad_v_l{p}"] = (np.sum(g**p) * dv) ** (1.0 / p)
+    r = record(state)
+    for name, value in want.items():
+        assert getattr(r, name) == pytest.approx(value, rel=1e-14, abs=0.0), name
 
 
 def test_record_time_field():

@@ -1,22 +1,26 @@
 """Characteristic-tracer oracles: exact interpolation, analytically solvable
 flows, refined-step references, and the along-path identity itself."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from qg3d.dynamics import PhysicsParams
 from qg3d.grid import GridSpec
 from qg3d.initial import make_random, make_zonal
 from qg3d.particles import (
     ParticleSet,
     TrajectoryTracer,
+    _sum_at_points,
     advance_particles,
     duhamel_residual,
     evaluate_at_points,
-    sample_velocity,
+    velocity_table,
     wrap_positions,
     write_trajectories_csv,
 )
-from qg3d.spectral import SpectralField, fwd, inv, solve_stratified_poisson, velocity_spectra
+from qg3d.spectral import SpectralField, fwd, solve_stratified_poisson, velocity_spectra
 from qg3d.stepping import Observer, State, StepControl, run
 
 
@@ -59,13 +63,14 @@ def test_evaluate_handles_mean_component():
     assert np.max(np.abs(got - 1.5)) < 1e-13
 
 
-def test_sample_velocity_shape_and_values():
+def test_velocity_table_shape_and_values():
     grid = GridSpec(16, 16, 4)
     X, Y, _ = grid.mesh()
     psi = spectral_of(grid, np.cos(X) + np.sin(Y))
-    v1h, v2h, _ = velocity_spectra(psi)
+    table = velocity_table(psi, 0.0)
+    assert table.shape == (2, 16, 9)
     pts = scattered_points(7, seed=2)
-    v = sample_velocity((v1h, v2h), pts, 0.0)
+    v = _sum_at_points(table, grid, pts)
     assert v.shape == (7, 2)
     # v1 = -psi_y = -cos(y), v2 = psi_x = -sin(x)
     assert np.max(np.abs(v[:, 0] + np.cos(pts[:, 1]))) < 1e-13
@@ -98,13 +103,10 @@ def circular_gap(a, b, length=2.0 * np.pi):
 def test_advance_constant_velocity_is_exact():
     # v = (1, 2) uniformly: x(t) = x0 + t, y(t) = y0 + 2t, integral = 2t
     grid = GridSpec(8, 8, 8)
-    c1 = np.zeros(grid.kshape, dtype=np.complex128)
-    c2 = np.zeros(grid.kshape, dtype=np.complex128)
-    c1[0, 0, 0] = 1.0
-    c2[0, 0, 0] = 2.0
-    pair = (SpectralField(grid, c1), SpectralField(grid, c2))
+    table = np.zeros((2, grid.ny, grid.nx // 2 + 1), dtype=np.complex128)
+    table[:, 0, 0] = (1.0, 2.0)
     ps = ParticleSet.at_rest(grid, scattered_points(6), 0.0)
-    out = advance_particles(ps, lambda t: pair, 0.0, 0.25)
+    out = advance_particles(ps, (table, table, table), 0.25)
     assert np.max(circular_gap(out.positions[:, 0], ps.positions[:, 0] + 0.25)) < 1e-13
     assert np.max(circular_gap(out.positions[:, 1], ps.positions[:, 1] + 0.5)) < 1e-13
     assert np.max(np.abs(out.integrals - 0.5)) < 1e-14
@@ -117,12 +119,11 @@ def test_advance_shear_flow_is_exact():
     grid = GridSpec(16, 16, 4)
     _, Y, _ = grid.mesh()
     psi = spectral_of(grid, np.cos(Y))
-    v1h, v2h, _ = velocity_spectra(psi)
-    pair = (v1h, v2h)
+    steady = (velocity_table(psi, 0.0),) * 3
     labels = scattered_points(10, seed=3)
     ps = ParticleSet.at_rest(grid, labels, 0.0)
     dt = 0.3
-    out = advance_particles(ps, lambda t: pair, 0.0, dt)
+    out = advance_particles(ps, steady, dt)
     want_x = (labels[:, 0] + dt * np.sin(labels[:, 1])) % (2.0 * np.pi)
     assert np.max(np.abs(out.positions[:, 0] - want_x)) < 1e-13
     assert np.max(np.abs(out.positions[:, 1] - labels[:, 1])) < 1e-13
@@ -134,22 +135,89 @@ def test_advance_converges_to_refined_reference():
     grid = GridSpec(16, 16, 4)
     X, Y, _ = grid.mesh()
     psi = spectral_of(grid, np.cos(X) + np.cos(Y))
-    v1h, v2h, _ = velocity_spectra(psi)
-    pair = (v1h, v2h)
+    steady = (velocity_table(psi, 0.0),) * 3
     ps = ParticleSet.at_rest(grid, scattered_points(8, seed=4), 0.0)
 
-    coarse = advance_particles(ps, lambda t: pair, 0.0, 0.2)
+    coarse = advance_particles(ps, steady, 0.2)
     fine = ps
-    for i in range(200):
-        fine = advance_particles(fine, lambda t: pair, i * 1e-3, 1e-3)
+    for _ in range(200):
+        fine = advance_particles(fine, steady, 1e-3)
     err = np.max(circular_gap(coarse.positions, fine.positions))
     assert err < 1e-5  # one 0.2 step of a 4th-order scheme
 
     half = ps
-    for i in range(2):
-        half = advance_particles(half, lambda t: pair, i * 0.1, 0.1)
+    for _ in range(2):
+        half = advance_particles(half, steady, 0.1)
     err_half = np.max(circular_gap(half.positions, fine.positions))
     assert err_half < err / 8.0  # at least cubic gain observed
+
+
+def reference_velocity(pair, pts, z_level):
+    """(v1, v2) from the velocity spectra, each collapsed and summed on its
+    own: the per-component expression the velocity tables replace."""
+    return np.stack([evaluate_at_points(vh, pts, z_level) for vh in pair], axis=1)
+
+
+def reference_step(ps, pairs, dt):
+    """RK4 step fed by per-component spectra at the start, mid and end."""
+    x0, z = ps.positions, ps.z_level
+    k1 = reference_velocity(pairs[0], x0, z)
+    k2 = reference_velocity(pairs[1], x0 + 0.5 * dt * k1, z)
+    k3 = reference_velocity(pairs[1], x0 + 0.5 * dt * k2, z)
+    k4 = reference_velocity(pairs[2], x0 + dt * k3, z)
+    incr = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return replace(ps, positions=x0 + incr, integrals=ps.integrals + incr[:, 1])
+
+
+def test_velocity_tables_match_per_component_spectra():
+    grid = GridSpec(32, 32, 32)
+    state = make_random(grid, -3.0, 1.0, 12)
+    psi = solve_stratified_poisson(state.q_hat, state.params.F)
+    v1h, v2h, _ = velocity_spectra(psi)
+    pts = scattered_points(128, seed=12)
+    for z in (0.0, 1.1, np.pi):
+        want = reference_velocity((v1h, v2h), pts, z)
+        got = _sum_at_points(velocity_table(psi, z), grid, pts)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("t_mid", [0.005, 0.004])
+def test_tracer_pair_matches_per_component_reference(t_mid):
+    # an even pair is one step over the three states; an uneven one is two
+    # steps, each with the average of its end spectra at the midpoint
+    grid = GridSpec(32, 32, 32)
+    times = (0.0, t_mid, 0.01)
+    states = [replace(make_random(grid, -3.0, 1.0, 20 + i), t=t) for i, t in enumerate(times)]
+    sets = [ParticleSet.at_rest(grid, scattered_points(32, seed=13), z) for z in (0.0, 1.1, np.pi)]
+    tracer = TrajectoryTracer(sets, states[0].q_hat, beta=1.0)
+    for state in states:
+        tracer(state)
+    a, b, c = (
+        velocity_spectra(solve_stratified_poisson(s.q_hat, s.params.F))[:2] for s in states
+    )
+
+    def mean(u, w):
+        return tuple(SpectralField(grid, 0.5 * (x.coeffs + y.coeffs)) for x, y in zip(u, w))
+
+    for ps, got in zip(sets, tracer.sets):
+        if t_mid == 0.005:
+            want = reference_step(ps, (a, b, c), 0.01)
+        else:
+            want = reference_step(ps, (a, mean(a, b), b), t_mid)
+            want = reference_step(want, (b, mean(b, c), c), 0.01 - t_mid)
+        vmax = np.max(np.abs(reference_velocity(a, ps.labels, ps.z_level)))
+        assert np.max(np.abs(got.integrals - want.integrals)) <= 1e-15 * vmax * 0.01
+        gap = circular_gap(got.positions, want.positions)
+        assert np.max(gap) <= 1e-15 * vmax * 0.01 + 2.0 * np.spacing(2.0 * np.pi)
+
+
+def test_tracer_rejects_a_state_with_another_beta():
+    grid = GridSpec(8, 8, 8)
+    state = make_random(grid, -3.0, 1.0, 1, params=PhysicsParams(beta=2.0))
+    ps = ParticleSet.at_rest(grid, scattered_points(4), 0.0)
+    tracer = TrajectoryTracer([ps], state.q_hat, beta=1.0)
+    with pytest.raises(ValueError, match=r"beta = 1\.0 .* beta = 2\.0"):
+        tracer(state)
 
 
 def test_duhamel_residual_at_initial_time_is_zero():
