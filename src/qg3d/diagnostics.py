@@ -18,7 +18,7 @@ from .errors import InsufficientHistoryError
 from .spectral import (
     PhysicalField,
     SpectralField,
-    derivative,
+    _workspace,
     inv,
     sobolev_norm,
     solve_stratified_poisson,
@@ -113,12 +113,17 @@ def lp_norm(f: PhysicalField, p: float) -> float:
 def _hessian_magnitude(fh: SpectralField) -> np.ndarray:
     """Frobenius norm of the Hessian on the grid, off-diagonal entries
     counted twice."""
-    h2 = np.zeros(fh.grid.shape)
-    for ax1, ax2, mult in (
-        ("x", "x", 1.0), ("y", "y", 1.0), ("z", "z", 1.0),
-        ("x", "y", 2.0), ("x", "z", 2.0), ("y", "z", 2.0),
+    g = fh.grid
+    ws = _workspace(g)
+    h2 = np.zeros(g.shape)
+    for m1, m2, mult in (
+        (g.ikx, g.ikx, 1.0), (g.iky, g.iky, 1.0), (g.ikz, g.ikz, 1.0),
+        (g.ikx, g.iky, 2.0), (g.ikx, g.ikz, 2.0), (g.iky, g.ikz, 2.0),
     ):
-        comp = inv(fh.grid, derivative(derivative(fh, ax1), ax2).coeffs)
+        # the operand order of derivative(derivative(fh, ax1), ax2)
+        np.multiply(fh.coeffs, m1, out=ws)
+        ws *= m2
+        comp = inv(g, ws)
         h2 += mult * comp * comp
     return np.sqrt(h2, out=h2)
 
@@ -150,10 +155,12 @@ def record(state: State, m: int = 4) -> DiagnosticsRecord:
 
     dv = grid.cell_volume
 
-    def d(fh: SpectralField, axis: str) -> np.ndarray:
-        return inv(grid, derivative(fh, axis).coeffs)
+    ws = _workspace(grid)
 
-    qx, qy, qz = d(q_hat, "x"), d(q_hat, "y"), d(q_hat, "z")
+    def d(mult: np.ndarray) -> np.ndarray:
+        return inv(grid, np.multiply(q_hat.coeffs, mult, out=ws))
+
+    qx, qy, qz = d(grid.ikx), d(grid.iky), d(grid.ikz)
     dqmag = np.sqrt(qx * qx + qy * qy + qz * qz)
 
     d2qmag = _hessian_magnitude(q_hat)

@@ -16,6 +16,7 @@ from .errors import GridMismatchError
 from .grid import GridSpec
 from .spectral import (
     SpectralField,
+    _workspace,
     fwd,
     inv,
     require_same_grid,
@@ -80,10 +81,11 @@ def jacobian_raw(grid: GridSpec, psi_c: np.ndarray, q_c: np.ndarray) -> np.ndarr
     invariants hold to rounding.
     """
     ikx, iky = grid.ikx_dealiased, grid.iky_dealiased
-    psi_x = inv(grid, psi_c * ikx)
-    psi_y = inv(grid, psi_c * iky)
-    q_x = inv(grid, q_c * ikx)
-    q_y = inv(grid, q_c * iky)
+    ws = _workspace(grid)
+    psi_x = inv(grid, np.multiply(psi_c, ikx, out=ws))
+    psi_y = inv(grid, np.multiply(psi_c, iky, out=ws))
+    q_x = inv(grid, np.multiply(q_c, ikx, out=ws))
+    q_y = inv(grid, np.multiply(q_c, iky, out=ws))
     psi_x *= q_y
     psi_y *= q_x
     psi_x -= psi_y

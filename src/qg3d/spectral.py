@@ -2,7 +2,9 @@
 
 All operators act on whole fields and return new fields; nothing mutates its
 input.  The transform pair uses the "forward" normalization, so the zero
-coefficient of a transformed field is exactly its box mean.
+coefficient of a transformed field is exactly its box mean.  A spectrum that
+only feeds an inverse transform is formed in the grid's kept workspace,
+``_workspace(grid)``, which never leaves the function that fills it.
 """
 
 from __future__ import annotations
@@ -84,6 +86,17 @@ def fwd(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 def inv(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     return sfft.irfftn(coeffs, s=grid.shape, norm="forward", workers=_workers())
+
+
+@lru_cache(maxsize=8)
+def _workspace(grid: GridSpec) -> np.ndarray:
+    """One half spectrum kept per grid for temporaries that only feed ``inv``.
+
+    A fresh 2-MB product per inverse transform at 64^3 is memory that glibc
+    hands back to the system between calls, so each one costs page faults;
+    the kept array costs them once.
+    """
+    return np.empty(grid.kshape, dtype=np.complex128)
 
 
 # ---- public field-level operations ---------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import NO_FORCING, Forcing, PhysicsParams, tendency_raw
 from .errors import NonFiniteError
 from .grid import GridSpec
-from .spectral import SpectralField, inv, solve_stratified_poisson, velocity_spectra
+from .spectral import SpectralField, _workspace, inv, solve_stratified_poisson
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,9 @@ class Observer:
     """A read-only callback on state snapshots.
 
     ``every = None`` fires after each accepted step; a positive value fires
-    at multiples of that interval measured from the start time (the loop
-    lands on those times exactly).  All observers also see the initial state.
+    at the multiples k * every that lie after the start time (the loop lands
+    on those times exactly), so a restarted run fires at the same times as a
+    run from t = 0.  All observers also see the initial state.
     """
 
     callback: Callable[[State], None]
@@ -83,10 +84,11 @@ def cfl_dt(state: State, control: StepControl) -> float:
     A quiescent field hits no bound and returns dt_max.
     """
     grid = state.grid
-    psi_hat = solve_stratified_poisson(state.q_hat, state.params.F)
-    v1h, v2h, _ = velocity_spectra(psi_hat)
-    m1 = float(np.max(np.abs(inv(grid, v1h.coeffs))))
-    m2 = float(np.max(np.abs(inv(grid, v2h.coeffs))))
+    psi_c = solve_stratified_poisson(state.q_hat, state.params.F).coeffs
+    ws = _workspace(grid)
+    # v1 = -psi_y; negation commutes exactly with the transform and |.|
+    m1 = float(np.max(np.abs(inv(grid, np.multiply(psi_c, grid.iky, out=ws)))))
+    m2 = float(np.max(np.abs(inv(grid, np.multiply(psi_c, grid.ikx, out=ws)))))
     bound = np.inf
     if m1 > 0.0:
         bound = grid.dx / m1
@@ -190,6 +192,16 @@ def _requested_dt(state: State, control: StepControl) -> float:
 ObserverLike = Union[Observer, Callable[[State], None]]
 
 
+def _first_event_index(after: float, every: float) -> int:
+    """The first integer k with k * every > after >= 0, as rounded."""
+    # float // is the floor of the exact quotient, and rounding is monotonic,
+    # so only a product that rounds down onto ``after`` needs a further step
+    k = int(after // every) + 1
+    while k * every <= after:
+        k += 1
+    return k
+
+
 def run(
     state: State,
     t_end: float,
@@ -199,9 +211,10 @@ def run(
 ) -> State:
     """Advance to t_end exactly, truncating steps to land on observer times.
 
-    Timed observers fire at t0 + j * every for j = 1, 2, ... (and all
-    observers see the initial state), so their samples are equally spaced
-    regardless of what the CFL controller does in between.
+    Timed observers fire at k * every for every integer k with
+    k * every > t0 (and all observers see the initial state), so their
+    samples are equally spaced regardless of what the CFL controller does in
+    between, and a run restarted from t0 lands on the direct run's times.
     """
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} is before current time {state.t}")
@@ -209,12 +222,14 @@ def run(
     for o in obs:
         o.callback(state)
 
-    t0 = state.t
     tiny = 1e-12 * max(1.0, abs(t_end))
-    next_index = [1 if o.every is not None else None for o in obs]
+    next_index = [
+        None if o.every is None else _first_event_index(state.t + tiny, o.every)
+        for o in obs
+    ]
 
     def next_event(i: int) -> float:
-        return t0 + next_index[i] * obs[i].every
+        return next_index[i] * obs[i].every
 
     while state.t < t_end - tiny:
         dt_want = _requested_dt(state, control)

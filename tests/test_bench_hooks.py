@@ -4,10 +4,12 @@ These checks fail when a refactor removes a name the benchmark needs."""
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import qg3d
+from qg3d import spectral
 from qg3d.particles import TrajectoryTracer
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -36,3 +38,12 @@ def test_benchmark_layer_functions_exist():
             missing.append(f"{span}: {home}.{attr}")
     assert missing == []
     assert callable(TrajectoryTracer.__dict__.get("__call__"))
+
+
+def test_transform_arrays_are_the_second_positional_argument():
+    # bench/spans.py counts a transform's bytes from args[1] and its result
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    for fn, names in ((spectral.inv, ["grid", "coeffs"]), (spectral.fwd, ["grid", "values"])):
+        params = list(inspect.signature(fn).parameters.values())[:2]
+        assert [p.name for p in params] == names
+        assert all(p.kind in positional for p in params)

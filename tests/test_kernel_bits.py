@@ -1,22 +1,35 @@
 """The tendency path computes the same bits as its plain reference forms.
 
 ``jacobian_raw``, ``tendency_raw``, ``solve_stratified_poisson`` and the
-stage arithmetic of ``rk4_step`` work in place on precomputed multipliers.
-The references below are the straightforward array expressions they
-replace, kept as the specification: every result must match them byte for
-byte, not merely to a tolerance.
+stage arithmetic of ``rk4_step`` work in place on precomputed multipliers,
+and ``jacobian_raw``, ``record`` and ``cfl_dt`` form the spectra they
+transform in a workspace kept per grid.  The references below are the
+straightforward array expressions they replace, kept as the specification:
+every result must match them byte for byte, not merely to a tolerance.
 """
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from qg3d.diagnostics import DiagnosticsRecord, _lp_raw, record
 from qg3d.dynamics import NO_FORCING, Forcing, PhysicsParams, jacobian_raw, tendency_raw
 from qg3d.errors import NonZeroMeanError
 from qg3d.grid import GridSpec
-from qg3d.spectral import SpectralField, fwd, inv, l2_norm, solve_stratified_poisson
-from qg3d.stepping import State, _viscous_factors, rk4_step
+from qg3d.spectral import (
+    SpectralField,
+    derivative,
+    fwd,
+    inv,
+    l2_norm,
+    sobolev_norm,
+    solve_stratified_poisson,
+    velocity_spectra,
+)
+from qg3d.stepping import State, StepControl, _viscous_factors, cfl_dt, rk4_step
 import qg3d.spectral as spectral
 
 # ---- reference forms ---------------------------------------------------------
@@ -87,6 +100,73 @@ def ref_rk4_coeffs(state, dt, forcing=NO_FORCING):
         q_new = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     q_new[0, 0, 0] = 0.0
     return q_new
+
+
+def ref_hessian_magnitude(fh):
+    h2 = np.zeros(fh.grid.shape)
+    for ax1, ax2, mult in (
+        ("x", "x", 1.0), ("y", "y", 1.0), ("z", "z", 1.0),
+        ("x", "y", 2.0), ("x", "z", 2.0), ("y", "z", 2.0),
+    ):
+        comp = inv(fh.grid, derivative(derivative(fh, ax1), ax2).coeffs)
+        h2 += mult * comp * comp
+    return np.sqrt(h2, out=h2)
+
+
+def ref_record(state, m=4):
+    grid = state.grid
+    q_hat = state.q_hat
+    psi_hat = solve_stratified_poisson(q_hat, state.params.F)
+    v1h, v2h, v3h = velocity_spectra(psi_hat)
+    q = inv(grid, q_hat.coeffs)
+    v1 = inv(grid, v1h.coeffs)
+    v2 = inv(grid, v2h.coeffs)
+    v3 = inv(grid, v3h.coeffs)
+    vh_sq = v1 * v1 + v2 * v2
+    v3_sq = v3 * v3
+    vmag = np.sqrt(vh_sq + v3_sq)
+    vmag_energy = np.sqrt(vh_sq + v3_sq * (state.params.F * state.params.F))
+    dv = grid.cell_volume
+    qx, qy, qz = (inv(grid, derivative(q_hat, axis).coeffs) for axis in "xyz")
+    dqmag = np.sqrt(qx * qx + qy * qy + qz * qz)
+    d2qmag = ref_hessian_magnitude(q_hat)
+    gradvmag = ref_hessian_magnitude(psi_hat)
+    return DiagnosticsRecord(
+        t=state.t,
+        v_l2=_lp_raw(dv, vmag_energy, 2),
+        q_l2=_lp_raw(dv, q, 2),
+        q_l4=_lp_raw(dv, q, 4),
+        q_l6=_lp_raw(dv, q, 6),
+        q_linf=_lp_raw(dv, q, math.inf),
+        v_linf=_lp_raw(dv, vmag, math.inf),
+        v2_l6=_lp_raw(dv, v2, 6),
+        v2_linf=_lp_raw(dv, v2, math.inf),
+        dq_l2=_lp_raw(dv, dqmag, 2),
+        dq_l3=_lp_raw(dv, dqmag, 3),
+        dq_l4=_lp_raw(dv, dqmag, 4),
+        d2q_l3=_lp_raw(dv, d2qmag, 3),
+        hm_q=sobolev_norm(q_hat, m - 1),
+        hm_v=float(np.sqrt(sum(sobolev_norm(vh, m) ** 2 for vh in (v1h, v2h, v3h)))),
+        grad_v_linf=_lp_raw(dv, gradvmag, math.inf),
+        grad_v_l2=_lp_raw(dv, gradvmag, 2),
+        grad_v_l4=_lp_raw(dv, gradvmag, 4),
+        grad_v_l6=_lp_raw(dv, gradvmag, 6),
+    )
+
+
+def ref_cfl_dt(state, control):
+    grid = state.grid
+    psi_hat = solve_stratified_poisson(state.q_hat, state.params.F)
+    v1h, v2h, _ = velocity_spectra(psi_hat)
+    m1 = float(np.max(np.abs(inv(grid, v1h.coeffs))))
+    m2 = float(np.max(np.abs(inv(grid, v2h.coeffs))))
+    bound = np.inf
+    if m1 > 0.0:
+        bound = grid.dx / m1
+    if m2 > 0.0:
+        bound = min(bound, grid.dy / m2)
+    dt = control.cfl_number * bound
+    return float(min(max(dt, control.dt_min), control.dt_max))
 
 
 # ---- inputs --------------------------------------------------------------------
@@ -213,3 +293,70 @@ def test_rk4_step_matches_reference(grid, nu):
         new = rk4_step(state, 3e-3, forcing).q_hat.coeffs
         assert_same_bits(new, ref_rk4_coeffs(state, 3e-3, forcing))
     assert_same_bits(q, q_before)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=grid_id)
+@pytest.mark.parametrize("dealiased", [True, False])
+def test_record_matches_reference(grid, dealiased):
+    q = random_coeffs(grid, 11, dealiased)
+    q_before = q.copy()
+    for F in (1.0, 1.5):
+        state = State(SpectralField(grid, q), 0.25, PhysicsParams(F=F))
+        new, ref = record(state), ref_record(state)
+        assert new == ref
+        assert_same_bits(np.array(dataclasses.astuple(new)), np.array(dataclasses.astuple(ref)))
+    assert_same_bits(q, q_before)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=grid_id)
+@pytest.mark.parametrize("dealiased", [True, False])
+def test_cfl_dt_matches_reference(grid, dealiased):
+    q = random_coeffs(grid, 12, dealiased)
+    q_before = q.copy()
+    # the field with x and y swapped: with dx = dy, the larger of max|v1| and
+    # max|v2| sets dt, so each component sets it for one of the two inputs
+    swapped = fwd(grid, np.ascontiguousarray(inv(grid, q).swapaxes(1, 2)))
+    swapped[0, 0, 0] = 0.0
+    if dealiased:
+        swapped = np.where(grid.dealias_mask, swapped, 0.0)
+    unclamped = StepControl(cfl_number=0.5, dt_min=1e-300, dt_max=1e300)
+    for c, F, control in itertools.product(
+        (q, swapped), (1.0, 1.5), (unclamped, StepControl())
+    ):
+        state = State(SpectralField(grid, c), 0.25, PhysicsParams(F=F))
+        new, ref = cfl_dt(state, control), ref_cfl_dt(state, control)
+        assert type(new) is float and new.hex() == ref.hex()
+    assert_same_bits(q, q_before)
+
+
+# ---- the kept workspace ----------------------------------------------------------
+
+
+def test_results_share_no_memory_with_the_workspace():
+    grid = GRIDS[1]
+    ws = spectral._workspace(grid)
+    psi, q = random_coeffs(grid, 13, True), random_coeffs(grid, 14, True)
+    params = PhysicsParams(beta=1.3, F=1.5)
+    state = State(SpectralField(grid, q), 0.5, params)
+    outputs = {
+        "jacobian_raw": jacobian_raw(grid, psi, q),
+        "tendency_raw": tendency_raw(grid, q, 0.5, params),
+        "rk4_step": rk4_step(state, 3e-3).q_hat.coeffs,
+    }
+    assert [name for name, out in outputs.items() if np.shares_memory(out, ws)] == []
+
+
+def test_a_second_jacobian_leaves_the_first_result_untouched():
+    grid = GRIDS[0]
+    first = jacobian_raw(grid, random_coeffs(grid, 15, True), random_coeffs(grid, 16, True))
+    kept = first.copy()
+    jacobian_raw(grid, random_coeffs(grid, 17, False), random_coeffs(grid, 18, False))
+    assert_same_bits(first, kept)
+
+
+def test_each_grid_has_its_own_workspace():
+    a, b = (spectral._workspace(g) for g in GRIDS)
+    assert (a.shape, b.shape) == (GRIDS[0].kshape, GRIDS[1].kshape)
+    assert a.dtype == b.dtype == np.complex128
+    assert not np.shares_memory(a, b)
+    assert spectral._workspace(GridSpec(8, 8, 8)) is a

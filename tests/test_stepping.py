@@ -95,6 +95,23 @@ def test_timed_observer_fires_on_exact_multiples():
     assert times == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
+def test_restarted_run_fires_at_the_direct_runs_times():
+    grid = GridSpec(8, 8, 8)
+    state = make_random(grid, -3.0, 1.0, 5)
+    control = StepControl(mode="fixed", dt_fixed=0.03)
+    direct, restarted = [], []
+    final = run(state, 1.0, control, observers=[Observer(direct.append, every=0.05)])
+    mid = next(s for s in direct if s.t == 0.5)
+    again = run(mid, 1.0, control, observers=[Observer(restarted.append, every=0.05)])
+    times = [s.t for s in restarted]
+    assert len(times) == 11
+    assert times == [s.t for s in direct if s.t >= 0.5]
+    # times of the form t0 + j * every miss the direct run's in the last bit
+    assert [0.5 + j * 0.05 for j in range(11)] != times
+    # landing on the same times, the restart takes the same steps
+    assert again.q_hat.coeffs.tobytes() == final.q_hat.coeffs.tobytes()
+
+
 def test_every_step_observer_sees_all_states():
     grid = GridSpec(8, 8, 8)
     state, _ = make_rossby(grid, 1.0, 1.0, 1, 0, 0, 1.0)
