@@ -13,7 +13,7 @@ from .diagnostics import (
     monitor_ratios,
     record,
 )
-from .dynamics import NO_FORCING, Forcing, PhysicsParams, jacobian, tendency
+from .dynamics import NO_FORCING, Forcing, PhysicsParams
 from .errors import (
     ConfigError,
     EmptyBandError,
@@ -44,17 +44,13 @@ from .particles import (
 )
 from .snapshots import read_checkpoint, read_snapshot, write_checkpoint, write_snapshot
 from .spectral import (
-    PhysicalField,
     SpectralField,
     dealias,
     derivative,
-    forward_transform,
     inner_product,
-    inverse_transform,
     l2_norm,
     sobolev_norm,
     solve_stratified_poisson,
-    velocity_from_streamfunction,
 )
 from .stepping import Observer, State, StepControl, cfl_dt, rk4_step, run
 
@@ -72,7 +68,6 @@ __all__ = [
     "NonZeroMeanError",
     "Observer",
     "ParticleSet",
-    "PhysicalField",
     "PhysicsParams",
     "QGError",
     "RunConfig",
@@ -91,10 +86,7 @@ __all__ = [
     "derivative",
     "duhamel_residual",
     "evaluate_at_points",
-    "forward_transform",
     "inner_product",
-    "inverse_transform",
-    "jacobian",
     "l2_norm",
     "make_blob",
     "make_mms",
@@ -111,9 +103,7 @@ __all__ = [
     "serialize_config",
     "sobolev_norm",
     "solve_stratified_poisson",
-    "tendency",
     "traveling_wave",
-    "velocity_from_streamfunction",
     "velocity_table",
     "write_checkpoint",
     "write_snapshot",

@@ -29,22 +29,23 @@ from .config import (
     step_control,
 )
 from .diagnostics import (
+    TEMPORAL_DTS,
     CheckResult,
     check_conservation,
     check_growth_bounds,
     check_lp_interpolation,
     monitor_ratios,
+    neutrality_checks,
     record,
+    spatial_floor_errors,
+    temporal_order_errors,
     write_diagnostics_csv,
     write_ratios_csv,
 )
-from .dynamics import PhysicsParams, tendency_raw
 from .errors import ConfigError, NonFiniteError, QGError
-from .grid import GridSpec
-from .initial import make_random, make_rossby
 from .particles import TrajectoryTracer, write_trajectories_csv
 from .snapshots import read_checkpoint, read_snapshot, write_checkpoint, write_snapshot
-from .spectral import SpectralField, inner_product, inv, l2_norm, solve_stratified_poisson
+from .spectral import SpectralField, inv, l2_norm, solve_stratified_poisson, velocity_spectra
 from .stepping import Observer, State, run
 from .svgplot import render_line_plot
 
@@ -223,38 +224,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _neutrality_results(grid: GridSpec, params: PhysicsParams, n_states: int = 10):
-    """Max relative inner products of the tendency with the scalar and the
-    streamfunction over seeded random states (both must vanish)."""
-    inviscid = PhysicsParams(beta=params.beta, nu=0.0, F=params.F)
-    worst_q = 0.0
-    worst_psi = 0.0
-    for seed in range(n_states):
-        state = make_random(grid, slope=-3.0, energy=1.0, seed=seed)
-        q_hat = state.q_hat
-        tend = SpectralField(
-            grid, tendency_raw(grid, q_hat.coeffs, 0.0, inviscid)
-        )
-        psi_hat = solve_stratified_poisson(q_hat, inviscid.F)
-        scale_t = l2_norm(tend)
-        if scale_t == 0.0:
-            continue
-        worst_q = max(
-            worst_q, abs(inner_product(tend, q_hat)) / (scale_t * l2_norm(q_hat))
-        )
-        worst_psi = max(
-            worst_psi, abs(inner_product(tend, psi_hat)) / (scale_t * l2_norm(psi_hat))
-        )
-    return [
-        CheckResult.from_bound("enstrophy neutrality <dq/dt, q>", worst_q, 1e-12, 0.0),
-        CheckResult.from_bound("energy neutrality <dq/dt, psi>", worst_psi, 1e-12, 0.0),
-    ]
-
-
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config, args.seed)
     out = _output_dir(cfg)
-    results = _neutrality_results(grid_spec(cfg), physics_params(cfg))
+    results = neutrality_checks(grid_spec(cfg), physics_params(cfg), range(10))
     state = build_initial_state(cfg)
     try:
         final, history = _simulate(cfg, state, out)
@@ -267,48 +240,17 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 3
 
 
-def _converge_temporal() -> tuple[list[float], list[float]]:
-    """Global wave error at t = 1 for a halving dt ladder; returns errors
-    and the ratios of successive errors.  A fast mode (frequency 8) keeps
-    the errors far above the rounding floor so the ratios are clean."""
-    grid = GridSpec(16, 16, 16)
-    errors = []
-    for dt in (4e-3, 2e-3, 1e-3):
-        state, exact = make_rossby(grid, 1.0, 8.0, 1, 0, 0, 1.0)
-        control = _fixed_control(dt)
-        final = run(state, 1.0, control)
-        err = np.max(np.abs(inv(grid, final.q_hat.coeffs - exact(1.0).coeffs)))
-        errors.append(float(err))
-    ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
-    return errors, ratios
-
-
-def _fixed_control(dt: float):
-    from .stepping import StepControl
-
-    return StepControl(mode="fixed", dt_fixed=dt, dt_min=min(1e-9, dt), dt_max=max(5e-2, dt))
-
-
-def _converge_spatial(F: float) -> list[tuple[int, float]]:
-    rows = []
-    for n in (4, 8, 16, 32):
-        grid = GridSpec(n, n, n)
-        state, exact = make_rossby(grid, F, 1.0, 1, 1, 1, 1.0)
-        final = run(state, 0.25, _fixed_control(1e-3))
-        err = np.max(np.abs(inv(grid, final.q_hat.coeffs - exact(0.25).coeffs)))
-        rows.append((n, float(err)))
-    return rows
-
-
 def _cmd_converge(args) -> int:
     cfg = _load_config(args.config)
-    errors, ratios = _converge_temporal()
+    errors = temporal_order_errors()
+    ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
     _eprint("temporal refinement (wave frequency 8, t = 1):")
-    for dt, err in zip((4e-3, 2e-3, 1e-3), errors):
+    for dt, err in zip(TEMPORAL_DTS, errors):
         _eprint(f"  dt = {dt:.0e}  max error = {err:.6e}")
     for i, ratio in enumerate(ratios):
         _eprint(f"  level {i}: error ratio {ratio:.2f}, observed order {math.log2(ratio):.3f}")
-    rows = _converge_spatial(cfg.F)
+    sizes = (4, 8, 16, 32)
+    rows = list(zip(sizes, spatial_floor_errors(cfg.F, sizes)))
     _eprint("spatial refinement (single mode, t = 0.25):")
     for n, err in rows:
         _eprint(f"  n = {n:3d}  max error = {err:.6e}")
@@ -400,8 +342,6 @@ def _cmd_info(args) -> int:
     projected[0, 0, 0] = 0.0
     q_proj = SpectralField(grid, projected)
     psi_hat = solve_stratified_poisson(q_proj, p.F)
-    from .spectral import velocity_spectra
-
     # the energy norm of record's v_l2: the vertical component weighs F^2
     v1h, v2h, v3h = velocity_spectra(psi_hat)
     v_sq = l2_norm(v1h) ** 2 + l2_norm(v2h) ** 2 + (p.F * p.F) * l2_norm(v3h) ** 2

@@ -3,7 +3,9 @@
 A DiagnosticsRecord is one time sample of every monitored norm.  The checks
 compare those series against the identities the dynamics are supposed to
 satisfy: exact conservation of the quadratic invariants and integral-form
-growth bounds driven by the second velocity component.
+growth bounds driven by the second velocity component.  The neutrality
+identities and the temporal and spatial convergence runs are computed here
+too, once, for both ``qg3d verify``/``qg3d converge`` and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -14,17 +16,21 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .dynamics import PhysicsParams, tendency_raw
 from .errors import InsufficientHistoryError
+from .grid import GridSpec
+from .initial import make_random, make_rossby
 from .spectral import (
-    PhysicalField,
     SpectralField,
     _workspace,
+    inner_product,
     inv,
+    l2_norm,
     sobolev_norm,
     solve_stratified_poisson,
     velocity_spectra,
 )
-from .stepping import State
+from .stepping import State, StepControl, run
 
 #: CSV column order; the header is part of the on-disk contract.
 CSV_COLUMNS = (
@@ -103,11 +109,6 @@ def _lp_raw(cell_volume: float, values: np.ndarray, p: float) -> float:
     # |f|^p can overflow on a diverging state; inf is the right saturation
     with np.errstate(over="ignore"):
         return float((np.sum(np.abs(values) ** p) * cell_volume) ** (1.0 / p))
-
-
-def lp_norm(f: PhysicalField, p: float) -> float:
-    """Uniform-grid quadrature of the L^p norm; p = inf gives the grid max."""
-    return _lp_raw(f.grid.cell_volume, f.values, p)
 
 
 def _hessian_magnitude(fh: SpectralField) -> np.ndarray:
@@ -210,6 +211,63 @@ def check_conservation(
             CheckResult.from_bound(f"{name} conservation", drift, tol_rel, 0.0)
         )
     return results
+
+
+def neutrality_checks(
+    grid: GridSpec, params: PhysicsParams, seeds: Iterable[int]
+) -> list[CheckResult]:
+    """Max relative inner products of the inviscid tendency with the scalar
+    and the streamfunction over seeded random states; both must vanish to
+    1e-12.  A state whose tendency is exactly zero has nothing to measure
+    and is skipped."""
+    inviscid = PhysicsParams(beta=params.beta, nu=0.0, F=params.F)
+    worst_q = 0.0
+    worst_psi = 0.0
+    for seed in seeds:
+        q_hat = make_random(grid, slope=-3.0, energy=1.0, seed=seed).q_hat
+        tend = SpectralField(grid, tendency_raw(grid, q_hat.coeffs, 0.0, inviscid))
+        psi_hat = solve_stratified_poisson(q_hat, inviscid.F)
+        scale_t = l2_norm(tend)
+        if scale_t == 0.0:
+            continue
+        worst_q = max(
+            worst_q, abs(inner_product(tend, q_hat)) / (scale_t * l2_norm(q_hat))
+        )
+        worst_psi = max(
+            worst_psi, abs(inner_product(tend, psi_hat)) / (scale_t * l2_norm(psi_hat))
+        )
+    return [
+        CheckResult.from_bound("enstrophy neutrality <dq/dt, q>", worst_q, 1e-12, 0.0),
+        CheckResult.from_bound("energy neutrality <dq/dt, psi>", worst_psi, 1e-12, 0.0),
+    ]
+
+
+def _wave_error(
+    grid: GridSpec, F: float, beta: float, mode: tuple[int, int, int], dt: float, t_end: float
+) -> float:
+    """Max-norm error at t_end of a fixed-dt run of one exact Rossby wave."""
+    state, exact = make_rossby(grid, F, beta, *mode, 1.0)
+    final = run(state, t_end, StepControl(mode="fixed", dt_fixed=dt))
+    return float(np.max(np.abs(inv(grid, final.q_hat.coeffs - exact(t_end).coeffs))))
+
+
+#: Step sizes of the temporal refinement ladder, largest first.
+TEMPORAL_DTS = (4e-3, 2e-3, 1e-3)
+
+
+def temporal_order_errors() -> list[float]:
+    """Wave error at t = 1 on 16^3, one per dt of ``TEMPORAL_DTS``.  The
+    fast wave (frequency 8) keeps the dt^4 error far above the rounding
+    floor, so successive ratios near 16 show fourth order."""
+    grid = GridSpec(16, 16, 16)
+    return [_wave_error(grid, 1.0, 8.0, (1, 0, 0), dt, 1.0) for dt in TEMPORAL_DTS]
+
+
+def spatial_floor_errors(F: float, sizes: Iterable[int]) -> list[float]:
+    """Error at t = 0.25 (dt = 1e-3) of the wave (1, 1, 1) on an n^3 grid,
+    one per n in ``sizes``.  The mode is resolved exactly, so the error is
+    the time-stepping and rounding floor."""
+    return [_wave_error(GridSpec(n, n, n), F, 1.0, (1, 1, 1), 1e-3, 0.25) for n in sizes]
 
 
 def _integral_bound_check(

@@ -14,14 +14,7 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .grid import GridSpec
-from .spectral import (
-    SpectralField,
-    _workspace,
-    fwd,
-    inv,
-    require_same_grid,
-    solve_stratified_poisson,
-)
+from .spectral import SpectralField, _workspace, fwd, inv, solve_stratified_poisson
 
 
 @dataclass(frozen=True)
@@ -95,12 +88,6 @@ def jacobian_raw(grid: GridSpec, psi_c: np.ndarray, q_c: np.ndarray) -> np.ndarr
     return jac
 
 
-def jacobian(psi_hat: SpectralField, q_hat: SpectralField) -> SpectralField:
-    """Field-level wrapper around :func:`jacobian_raw`."""
-    grid = require_same_grid(psi_hat, q_hat)
-    return SpectralField(grid, jacobian_raw(grid, psi_hat.coeffs, q_hat.coeffs))
-
-
 def tendency_raw(
     grid: GridSpec,
     q_c: np.ndarray,
@@ -131,11 +118,3 @@ def tendency_raw(
     out[0, 0, 0] = 0.0
     return out
 
-
-def tendency(state, forcing: Forcing = NO_FORCING) -> SpectralField:
-    """Full right-hand side for the given state, viscosity included."""
-    q_hat = state.q_hat
-    return SpectralField(
-        q_hat.grid,
-        tendency_raw(q_hat.grid, q_hat.coeffs, state.t, state.params, forcing),
-    )

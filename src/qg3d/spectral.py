@@ -9,7 +9,6 @@ only feeds an inverse transform is formed in the grid's kept workspace,
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,38 +17,6 @@ import scipy.fft as sfft
 
 from .errors import GridMismatchError, NonZeroMeanError
 from .grid import GridSpec
-
-
-def _workers() -> int:
-    # Single threaded by default: on a 2-core machine two workers have shown
-    # no steady gain (one 64^3 rfftn measured both slower and faster with
-    # them), so threading waits for an end-to-end measurement.  The worker
-    # count does not change results; a test pins 1 and 2 workers to the
-    # same bits.
-    try:
-        return max(1, int(os.environ.get("QG3D_FFT_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-@dataclass(frozen=True)
-class PhysicalField:
-    """Real scalar samples on the grid, shape (nz, ny, nx), float64."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = self.values
-        if v.shape != self.grid.shape:
-            raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
-        if v.dtype != np.float64:
-            raise ValueError(f"values must be float64, got {v.dtype}")
-
-    @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "PhysicalField":
-        X, Y, Z = grid.mesh()
-        return cls(grid, np.asarray(fn(X, Y, Z), dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -81,11 +48,11 @@ def require_same_grid(*fields) -> GridSpec:
 # ---- raw-array transform helpers used by the hot loops -------------------
 
 def fwd(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    return sfft.rfftn(values, norm="forward", workers=_workers())
+    return sfft.rfftn(values, norm="forward")
 
 
 def inv(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    return sfft.irfftn(coeffs, s=grid.shape, norm="forward", workers=_workers())
+    return sfft.irfftn(coeffs, s=grid.shape, norm="forward")
 
 
 @lru_cache(maxsize=8)
@@ -99,18 +66,7 @@ def _workspace(grid: GridSpec) -> np.ndarray:
     return np.empty(grid.kshape, dtype=np.complex128)
 
 
-# ---- public field-level operations ---------------------------------------
-
-def forward_transform(f: PhysicalField) -> SpectralField:
-    """Real-to-half-spectrum transform; zero mode equals the box mean."""
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("cannot transform a field with non-finite samples")
-    return SpectralField(f.grid, fwd(f.grid, f.values))
-
-
-def inverse_transform(fh: SpectralField) -> PhysicalField:
-    return PhysicalField(fh.grid, inv(fh.grid, fh.coeffs))
-
+# ---- spectral-space operators ---------------------------------------------
 
 _AXES = {"x": "ikx", "y": "iky", "z": "ikz"}
 
@@ -127,11 +83,6 @@ def derivative(fh: SpectralField, axis: str) -> SpectralField:
     except KeyError:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
     return SpectralField(fh.grid, fh.coeffs * mult)
-
-
-def apply_stratified_laplacian(psi_hat: SpectralField, F: float) -> SpectralField:
-    """Multiply by -(kx^2 + ky^2 + F^2 kz^2)."""
-    return SpectralField(psi_hat.grid, psi_hat.coeffs * psi_hat.grid.stratified_symbol(F))
 
 
 def solve_stratified_poisson(q_hat: SpectralField, F: float) -> SpectralField:
@@ -179,18 +130,6 @@ def velocity_spectra(psi_hat: SpectralField) -> tuple[SpectralField, SpectralFie
     v2 = derivative(psi_hat, "x")
     v3 = derivative(psi_hat, "z")
     return v1, v2, v3
-
-
-def velocity_from_streamfunction(
-    psi_hat: SpectralField,
-) -> tuple[PhysicalField, PhysicalField, PhysicalField]:
-    """Physical velocity components reconstructed from the streamfunction.
-
-    Only the first two components advect anything; the third rides along for
-    diagnostics.  The horizontal pair is divergence-free by construction.
-    """
-    v1h, v2h, v3h = velocity_spectra(psi_hat)
-    return inverse_transform(v1h), inverse_transform(v2h), inverse_transform(v3h)
 
 
 # ---- Parseval-side norms and inner products -------------------------------

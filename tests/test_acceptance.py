@@ -17,8 +17,15 @@ from qg3d.config import (
     parse_config,
     step_control,
 )
-from qg3d.diagnostics import check_conservation, check_growth_bounds, record
-from qg3d.dynamics import PhysicsParams, tendency_raw
+from qg3d.diagnostics import (
+    check_conservation,
+    check_growth_bounds,
+    neutrality_checks,
+    record,
+    spatial_floor_errors,
+    temporal_order_errors,
+)
+from qg3d.dynamics import PhysicsParams
 from qg3d.grid import GridSpec
 from qg3d.initial import (
     TrigTerm,
@@ -35,13 +42,7 @@ from qg3d.snapshots import (
     write_checkpoint,
     write_snapshot,
 )
-from qg3d.spectral import (
-    SpectralField,
-    inner_product,
-    inv,
-    l2_norm,
-    solve_stratified_poisson,
-)
+from qg3d.spectral import SpectralField, inv, l2_norm
 from qg3d.stepping import Observer, State, StepControl, run
 
 REFERENCE_CONFIG = """\
@@ -65,12 +66,6 @@ lagrangian.particles = 512
 lagrangian.z_levels = 0.0, 3.141592653589793
 lagrangian.seed = 42
 """
-
-
-def fixed(dt: float) -> StepControl:
-    return StepControl(
-        mode="fixed", dt_fixed=dt, dt_min=min(1e-9, dt), dt_max=max(5e-2, dt)
-    )
 
 
 def verdict(criterion: int, detail: str, ok: bool) -> bool:
@@ -121,7 +116,7 @@ def test_criterion_02_rossby_dispersion():
     run(
         state,
         5.0,
-        fixed(1e-3),
+        StepControl(mode="fixed", dt_fixed=1e-3),
         observers=[
             Observer(lambda s: samples.append((s.t, complex(s.q_hat.coeffs[1, 1, 1]))), every=0.05)
         ],
@@ -133,12 +128,7 @@ def test_criterion_02_rossby_dispersion():
     omega = -slope
     rel = abs(omega - (-1.0 / 3.0)) / (1.0 / 3.0)
 
-    floors = []
-    for n in (8, 16, 32):
-        g = GridSpec(n, n, n)
-        st, exact = make_rossby(g, 1.0, 1.0, 1, 1, 1, 1.0)
-        fin = run(st, 0.25, fixed(1e-3))
-        floors.append(float(np.max(np.abs(inv(g, fin.q_hat.coeffs - exact(0.25).coeffs)))))
+    floors = spatial_floor_errors(1.0, (8, 16, 32))
 
     ok = rel <= 1e-4 and all(f <= 1e-10 for f in floors)
     detail = (
@@ -149,15 +139,7 @@ def test_criterion_02_rossby_dispersion():
 
 
 def test_criterion_03_temporal_order():
-    errors = []
-    for dt in (4e-3, 2e-3, 1e-3):
-        grid = GridSpec(16, 16, 16)
-        # fast wave (frequency 8) keeps the dt^4 error above the rounding floor
-        state, exact = make_rossby(grid, 1.0, 8.0, 1, 0, 0, 1.0)
-        final = run(state, 1.0, fixed(dt))
-        errors.append(
-            float(np.max(np.abs(inv(grid, final.q_hat.coeffs - exact(1.0).coeffs))))
-        )
+    errors = temporal_order_errors()
     ratios = [errors[i] / errors[i + 1] for i in range(2)]
     ok = all(14.0 <= r <= 18.0 for r in ratios)
     detail = (
@@ -194,7 +176,7 @@ def test_criterion_06_planar_transport_invariants():
     run(
         state,
         2.0,
-        fixed(1e-2),
+        StepControl(mode="fixed", dt_fixed=1e-2),
         observers=[Observer(lambda s: history.append(record(s)), every=0.1)],
     )
     first = history[0]
@@ -220,7 +202,7 @@ def test_criterion_07_manufactured_solution():
     params = PhysicsParams(beta=1.0, nu=0.0, F=1.0)
     target = [TrigTerm(1.0, tkind="cos", omega=1.0, xkind="sin", sx=1, ykind="sin", sy=1)]
     state, forcing = make_mms(grid, params, target)
-    final = run(state, 1.0, fixed(1e-3), forcing=forcing)
+    final = run(state, 1.0, StepControl(mode="fixed", dt_fixed=1e-3), forcing=forcing)
     want = manufactured_solution(grid, target, params.F, 1.0)
     err = float(np.max(np.abs(inv(grid, final.q_hat.coeffs - want.coeffs))))
     ok = err <= 1e-10
@@ -233,7 +215,7 @@ def test_criterion_08_viscous_decay():
     wave, _ = make_rossby(grid, 1.0, 0.0, 1, 1, 1, 1.0)  # |k|^2 = 3
     state = State(wave.q_hat, 0.0, PhysicsParams(beta=0.0, nu=0.1, F=1.0))
     c0 = state.q_hat.coeffs[1, 1, 1]
-    final = run(state, 1.0, fixed(1e-3))
+    final = run(state, 1.0, StepControl(mode="fixed", dt_fixed=1e-3))
     ratio = abs(final.q_hat.coeffs[1, 1, 1]) / abs(c0)
     err = abs(ratio - math.exp(-0.3))
     ok = err <= 1e-8
@@ -242,22 +224,10 @@ def test_criterion_08_viscous_decay():
 
 
 def test_criterion_09_neutrality_identities():
-    grid = GridSpec(32, 32, 32)
     params = PhysicsParams(beta=1.0, nu=0.0, F=1.0)
-    worst_q = 0.0
-    worst_psi = 0.0
-    for seed in range(100):
-        state = make_random(grid, -3.0, 1.0, seed=seed)
-        tend = SpectralField(grid, tendency_raw(grid, state.q_hat.coeffs, 0.0, params))
-        psi_hat = solve_stratified_poisson(state.q_hat, params.F)
-        scale = l2_norm(tend)
-        worst_q = max(
-            worst_q, abs(inner_product(tend, state.q_hat)) / (scale * l2_norm(state.q_hat))
-        )
-        worst_psi = max(
-            worst_psi, abs(inner_product(tend, psi_hat)) / (scale * l2_norm(psi_hat))
-        )
-    ok = worst_q <= 1e-12 and worst_psi <= 1e-12
+    results = neutrality_checks(GridSpec(32, 32, 32), params, range(100))
+    worst_q, worst_psi = (r.bound_lhs for r in results)
+    ok = all(r.passed for r in results)
     detail = (
         f"worst <tendency, q> {worst_q:.3e}, worst <tendency, psi> {worst_psi:.3e} "
         f"over 100 seeds (tol 1e-12)"
@@ -269,7 +239,7 @@ def test_criterion_10_checkpoint_restart_and_snapshot_roundtrip(tmp_path):
     grid = GridSpec(32, 32, 32)
     params = PhysicsParams(beta=1.0, nu=0.0, F=1.0)
     state0 = make_random(grid, -3.0, 1.0, seed=9, band=(2, 5), params=params)
-    control = fixed(1e-3)
+    control = StepControl(mode="fixed", dt_fixed=1e-3)
 
     direct = run(state0, 1.0, control)
 

@@ -1,7 +1,9 @@
 """The benchmark under ``bench/`` reaches into qg3d by name: it wraps the
 layer functions listed in ``bench/spans.py`` and ``TrajectoryTracer.__call__``.
-These checks fail when a refactor removes a name the benchmark needs."""
+These checks fail when a refactor removes a name the benchmark needs, or when
+the program grows a setting that a config file or an argument cannot see."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -12,7 +14,8 @@ import qg3d
 from qg3d import spectral
 from qg3d.particles import TrajectoryTracer
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def load_spans():
@@ -47,3 +50,37 @@ def test_transform_arrays_are_the_second_positional_argument():
         params = list(inspect.signature(fn).parameters.values())[:2]
         assert [p.name for p in params] == names
         assert all(p.kind in positional for p in params)
+
+
+READERS = ("os.environ", "os.getenv")
+
+
+def environment_reads(path: Path) -> set[str]:
+    """Names of the environment variables a module reads; "?" stands for a
+    read whose name is not a string literal."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    names = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and ast.unparse(node) in READERS):
+            continue
+        up = parent.get(node)
+        key = None
+        if isinstance(up, ast.Subscript) and up.value is node:
+            key = up.slice
+        elif isinstance(up, ast.Call) and up.func is node and up.args:
+            key = up.args[0]  # os.getenv(name)
+        elif isinstance(up, ast.Attribute) and up.attr == "get":
+            call = parent.get(up)
+            if isinstance(call, ast.Call) and call.func is up and call.args:
+                key = call.args[0]
+        names.add(key.value if isinstance(key, ast.Constant) else "?")
+    return names
+
+
+def test_the_output_directory_is_the_only_environment_setting():
+    # every other setting is a config key or an argument, so a run's config
+    # file says everything that shaped it
+    modules = (ROOT / "src" / "qg3d").glob("*.py")
+    names = set().union(*(environment_reads(path) for path in modules))
+    assert names == {"QG3D_OUTPUT_DIR"}

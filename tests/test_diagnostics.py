@@ -10,11 +10,12 @@ from qg3d.diagnostics import (
     CSV_COLUMNS,
     CheckResult,
     DiagnosticsRecord,
+    _lp_raw,
     check_conservation,
     check_growth_bounds,
     check_lp_interpolation,
-    lp_norm,
     monitor_ratios,
+    neutrality_checks,
     record,
     write_diagnostics_csv,
     write_ratios_csv,
@@ -24,7 +25,6 @@ from qg3d.errors import InsufficientHistoryError
 from qg3d.grid import GridSpec
 from qg3d.initial import make_random, make_rossby, make_zonal
 from qg3d.spectral import (
-    PhysicalField,
     SpectralField,
     derivative,
     fwd,
@@ -45,27 +45,29 @@ def rec(**kw) -> DiagnosticsRecord:
 
 def test_lp_norm_constants():
     grid = GridSpec(8, 8, 8)
-    f = PhysicalField(grid, np.full(grid.shape, 2.0))
-    assert abs(lp_norm(f, 2) - 2.0 * V**0.5) < 1e-12
-    assert abs(lp_norm(f, 4) - 2.0 * V**0.25) < 1e-12
-    assert lp_norm(f, math.inf) == 2.0
+    f = np.full(grid.shape, 2.0)
+    dv = grid.cell_volume
+    assert abs(_lp_raw(dv, f, 2) - 2.0 * V**0.5) < 1e-12
+    assert abs(_lp_raw(dv, f, 4) - 2.0 * V**0.25) < 1e-12
+    assert _lp_raw(dv, f, math.inf) == 2.0
 
 
 def test_lp_norm_sine_closed_forms():
     # mean of sin^2 is 1/2, sin^4 is 3/8, sin^6 is 5/16; exact on the grid
     grid = GridSpec(16, 8, 8)
     X, _, _ = grid.mesh()
-    f = PhysicalField(grid, np.sin(X))
-    assert abs(lp_norm(f, 2) - np.sqrt(V / 2.0)) < 1e-12
-    assert abs(lp_norm(f, 4) - (3.0 * V / 8.0) ** 0.25) < 1e-12
-    assert abs(lp_norm(f, 6) - (5.0 * V / 16.0) ** (1.0 / 6.0)) < 1e-12
-    assert lp_norm(f, math.inf) == 1.0
+    f = np.sin(X)
+    dv = grid.cell_volume
+    assert abs(_lp_raw(dv, f, 2) - np.sqrt(V / 2.0)) < 1e-12
+    assert abs(_lp_raw(dv, f, 4) - (3.0 * V / 8.0) ** 0.25) < 1e-12
+    assert abs(_lp_raw(dv, f, 6) - (5.0 * V / 16.0) ** (1.0 / 6.0)) < 1e-12
+    assert _lp_raw(dv, f, math.inf) == 1.0
 
 
 def test_lp_norm_rejects_p_below_one():
     grid = GridSpec(8, 8, 8)
     with pytest.raises(ValueError):
-        lp_norm(PhysicalField(grid, np.ones(grid.shape)), 0.5)
+        _lp_raw(grid.cell_volume, np.ones(grid.shape), 0.5)
 
 
 def test_record_zero_state():
@@ -184,6 +186,30 @@ def test_conservation_fails_without_dealiasing():
 def test_conservation_requires_history():
     with pytest.raises(InsufficientHistoryError):
         check_conservation([], 1e-6)
+
+
+def test_neutrality_holds_away_from_F_1_and_beta_1():
+    # <dq/dt, psi> depends on F through psi, so check neutrality where F != 1
+    params = PhysicsParams(beta=3.0, nu=0.0, F=2.0)
+    results = neutrality_checks(GridSpec(16, 16, 16), params, range(5))
+    assert [r.name for r in results] == [
+        "enstrophy neutrality <dq/dt, q>",
+        "energy neutrality <dq/dt, psi>",
+    ]
+    assert all(r.passed and r.bound_rhs == 1e-12 for r in results), results
+
+
+def test_neutrality_check_fails_when_the_tendency_ignores_F(monkeypatch):
+    # a tendency that inverts with F = 1 stays enstrophy-neutral but no
+    # longer conserves the F = 2 energy; at F = 1 the two would agree
+    monkeypatch.setattr(
+        "qg3d.dynamics.solve_stratified_poisson",
+        lambda q_hat, F: solve_stratified_poisson(q_hat, 1.0),
+    )
+    params = PhysicsParams(beta=3.0, nu=0.0, F=2.0)
+    enstrophy, energy = neutrality_checks(GridSpec(16, 16, 16), params, range(5))
+    assert enstrophy.passed
+    assert not energy.passed
 
 
 def test_growth_bounds_steady_zonal_zero_margin():

@@ -4,7 +4,7 @@ shape, Gaussian closed forms, and manufactured-solution consistency."""
 import numpy as np
 import pytest
 
-from qg3d.dynamics import PhysicsParams, tendency
+from qg3d.dynamics import PhysicsParams, tendency_raw
 from qg3d.errors import EmptyBandError, ZeroModeError
 from qg3d.grid import GridSpec
 from qg3d.initial import (
@@ -45,9 +45,9 @@ def test_rossby_exact_solution_satisfies_discrete_tendency():
     omega = -beta / k2
     for t in (0.0, 0.37, 1.1):
         sampled = State(exact(t), t, state.params)
-        T = tendency(sampled)
+        T = tendency_raw(grid, sampled.q_hat.coeffs, t, sampled.params)
         expected = -1j * omega * sampled.q_hat.coeffs
-        assert np.max(np.abs(T.coeffs - expected)) < 1e-12
+        assert np.max(np.abs(T - expected)) < 1e-12
 
 
 def test_rossby_beta_zero_is_steady():

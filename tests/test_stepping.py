@@ -3,6 +3,7 @@ exactness on pure decay, single-step order, and run-loop event semantics."""
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from qg3d.dynamics import PhysicsParams, tendency_raw
 from qg3d.errors import NonFiniteError
@@ -144,15 +145,26 @@ def test_runs_are_deterministic():
     assert np.array_equal(outs[0], outs[1])
 
 
-def test_runs_do_not_depend_on_the_fft_worker_count(monkeypatch):
+def test_runs_do_not_depend_on_the_fft_worker_count():
+    # the transforms take scipy's worker count, which a caller sets around a run
     grid = GridSpec(32, 32, 16)
     control = StepControl(mode="fixed", dt_fixed=2e-3)
     state = make_random(grid, -3.0, 1.0, 11, band=(2, 8))
-    outs = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("QG3D_FFT_WORKERS", workers)
+    outs = [run(state, 5 * 2e-3, control).q_hat.coeffs.tobytes()]
+    with scipy.fft.set_workers(2):
         outs.append(run(state, 5 * 2e-3, control).q_hat.coeffs.tobytes())
     assert outs[0] == outs[1]
+
+
+def test_fixed_mode_takes_dt_fixed_past_the_clamps():
+    # dt_min and dt_max bound only the CFL controller; a fixed step is as given
+    grid = GridSpec(8, 8, 8)
+    state, _ = make_rossby(grid, 1.0, 1.0, 1, 0, 0, 1.0)
+    times = []
+    control = StepControl(mode="fixed", dt_fixed=0.1, dt_max=0.05)
+    out = run(state, 0.2, control, observers=[lambda s: times.append(s.t)])
+    assert times == [0.0, 0.1, 0.2]
+    assert out.t == 0.2
 
 
 def test_blowup_raises_nonfinite_with_time():
