@@ -45,7 +45,7 @@ from .diagnostics import (
 from .errors import ConfigError, NonFiniteError, QGError
 from .particles import TrajectoryTracer, write_trajectories_csv
 from .snapshots import read_checkpoint, read_snapshot, write_checkpoint, write_snapshot
-from .spectral import SpectralField, inv, l2_norm, solve_stratified_poisson, velocity_spectra
+from .spectral import SpectralField
 from .stepping import Observer, State, run
 from .svgplot import render_line_plot
 
@@ -135,15 +135,23 @@ def _evaluate_checks(cfg: RunConfig, history) -> list[CheckResult]:
     return results
 
 
-def _simulate(cfg: RunConfig, state: State, out: Path, extra_observers=(), history=None):
-    """Shared run loop: records, snapshots, checkpoints, final outputs.
+def _simulate(
+    cfg: RunConfig,
+    state: State,
+    out: Path,
+    tracer: TrajectoryTracer | None = None,
+    resumed_at: float | None = None,
+) -> tuple[State, list] | None:
+    """The run loop of ``run``, ``verify`` and ``trace``: records, snapshots,
+    checkpoints and (given one) the particle tracer, then the output files.
 
-    Pass ``history`` to keep the records reachable when the run raises.
     Snapshots are numbered from round(t0 / output.snapshot_every), so a run
     that starts at t0 > 0 does not overwrite the snapshots before t0.
+    ``resumed_at`` is the start time of a restart: the CSV rows an earlier
+    run wrote before it are kept.  Returns the final state and the records,
+    or None after a blow-up, when only the partial CSVs are written.
     """
-    if history is None:
-        history = []
+    history = []
     m = cfg.checks.sobolev_m
     observers = [
         Observer(lambda s: history.append(record(s, m)), every=cfg.output.record_every)
@@ -164,17 +172,14 @@ def _simulate(cfg: RunConfig, state: State, out: Path, extra_observers=(), histo
                 every=cfg.output.checkpoint_every,
             )
         )
-    observers.extend(extra_observers)
+    if tracer is not None:
+        observers.append(Observer(tracer))
 
-    final = run(state, cfg.time.t_end, step_control(cfg), observers=observers)
-    return final, history
-
-
-def _finish_outputs(
-    cfg: RunConfig, out: Path, history, final: State | None, resumed_at=None
-) -> None:
-    """Write the CSVs and the final state.  ``resumed_at`` is the start time
-    of a restart: the CSV rows an earlier run wrote before it are kept."""
+    try:
+        final = run(state, cfg.time.t_end, step_control(cfg), observers=observers)
+    except NonFiniteError as exc:
+        _eprint(f"blow-up: {exc} (last good checkpoint retained)")
+        final = None
     if history:
         for path, write in (
             (out / "diagnostics.csv", lambda p: write_diagnostics_csv(p, history)),
@@ -188,9 +193,21 @@ def _finish_outputs(
             if kept:
                 header, *rows = path.read_text(encoding="ascii").splitlines()
                 path.write_text("\n".join([header, *kept, *rows]) + "\n", encoding="ascii")
-    if final is not None:
-        write_snapshot(final, out / "final.qg3d")
-        write_checkpoint(final, out / "checkpoint.qg3d", config_digest(cfg))
+    if final is None:
+        return None
+    write_snapshot(final, out / "final.qg3d")
+    write_checkpoint(final, out / "checkpoint.qg3d", digest)
+    if tracer is not None:
+        tracer.finalize()
+        write_trajectories_csv(out / "particles.csv", tracer.samples)
+    return final, history
+
+
+def _check_exit(results: list[CheckResult]) -> int:
+    """Print the check table, if there are checks; 3 if any failed, else 0."""
+    if results:
+        _print_check_table(results)
+    return 0 if all(r.passed for r in results) else 3
 
 
 def _cmd_run(args) -> int:
@@ -204,40 +221,22 @@ def _cmd_run(args) -> int:
         _eprint(f"restarting from t = {state.t:.6g}")
     else:
         state = build_initial_state(cfg)
-    resumed_at = state.t if args.restart else None
-
-    history = []
-    try:
-        final, history = _simulate(cfg, state, out, history=history)
-    except NonFiniteError as exc:
-        _eprint(f"blow-up: {exc} (last good checkpoint retained)")
-        _finish_outputs(cfg, out, history, None, resumed_at)
+    outcome = _simulate(cfg, state, out, resumed_at=state.t if args.restart else None)
+    if outcome is None:
         return 2
-    _finish_outputs(cfg, out, history, final, resumed_at)
+    final, history = outcome
     _eprint(f"run complete: t = {final.t:.6g}, {len(history)} records -> {out}")
-
-    results = _evaluate_checks(cfg, history)
-    if results:
-        _print_check_table(results)
-        if not all(r.passed for r in results):
-            return 3
-    return 0
+    return _check_exit(_evaluate_checks(cfg, history))
 
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config, args.seed)
     out = _output_dir(cfg)
     results = neutrality_checks(grid_spec(cfg), physics_params(cfg), range(10))
-    state = build_initial_state(cfg)
-    try:
-        final, history = _simulate(cfg, state, out)
-    except NonFiniteError as exc:
-        _eprint(f"blow-up during verification run: {exc}")
+    outcome = _simulate(cfg, build_initial_state(cfg), out)
+    if outcome is None:
         return 2
-    _finish_outputs(cfg, out, history, final)
-    results += _evaluate_checks(cfg, history)
-    _print_check_table(results)
-    return 0 if all(r.passed for r in results) else 3
+    return _check_exit(results + _evaluate_checks(cfg, outcome[1]))
 
 
 def _cmd_converge(args) -> int:
@@ -266,27 +265,17 @@ def _cmd_trace(args) -> int:
     cfg = _load_config(args.config, args.seed)
     out = _output_dir(cfg)
     state = build_initial_state(cfg)
-    sets = build_particle_sets(cfg, state.grid)
     tracer = TrajectoryTracer(
-        sets,
+        build_particle_sets(cfg, state.grid),
         state.q_hat,
         beta=cfg.beta,
         sample_every=cfg.lagrangian.sample_every,
     )
-    history = []
-    try:
-        final, history = _simulate(
-            cfg, state, out, extra_observers=[Observer(tracer)], history=history
-        )
-    except NonFiniteError as exc:
-        _eprint(f"blow-up: {exc} (last good checkpoint retained)")
-        _finish_outputs(cfg, out, history, final=None)
+    outcome = _simulate(cfg, state, out, tracer=tracer)
+    if outcome is None:
         return 2
-    tracer.finalize()
-    _finish_outputs(cfg, out, history, final)
-    write_trajectories_csv(out / "particles.csv", tracer.samples)
     _eprint(
-        f"traced {sum(len(ps) for ps in tracer.sets)} particles to t = {final.t:.6g}"
+        f"traced {sum(len(ps) for ps in tracer.sets)} particles to t = {outcome[0].t:.6g}"
     )
     _eprint(f"max |duhamel residual| = {tracer.max_residual():.6e}")
     return 0
@@ -335,19 +324,14 @@ def _cmd_info(args) -> int:
     _eprint(f"grid:      {grid.nx} x {grid.ny} x {grid.nz}")
     _eprint(f"box:       {grid.lx:.6g} x {grid.ly:.6g} x {grid.lz:.6g}")
     _eprint(f"F = {p.F:.6g}  beta = {p.beta:.6g}  nu = {p.nu:.6g}  t = {state.t:.6g}")
-    q_hat = state.q_hat
-    mean = q_hat.coeffs[0, 0, 0].real
-    _eprint(f"mean(q) = {mean:.3e}")
-    projected = q_hat.coeffs.copy()
+    coeffs = state.q_hat.coeffs
+    _eprint(f"mean(q) = {coeffs[0, 0, 0].real:.3e}")
+    projected = coeffs.copy()
     projected[0, 0, 0] = 0.0
-    q_proj = SpectralField(grid, projected)
-    psi_hat = solve_stratified_poisson(q_proj, p.F)
-    # the energy norm of record's v_l2: the vertical component weighs F^2
-    v1h, v2h, v3h = velocity_spectra(psi_hat)
-    v_sq = l2_norm(v1h) ** 2 + l2_norm(v2h) ** 2 + (p.F * p.F) * l2_norm(v3h) ** 2
-    _eprint(f"||q||_L2 = {l2_norm(q_hat):.9e}")
-    _eprint(f"||q||_Linf = {np.max(np.abs(inv(grid, q_hat.coeffs))):.9e}")
-    _eprint(f"||v||_L2 = {math.sqrt(v_sq):.9e}")
+    norms = record(State(SpectralField(grid, projected), state.t, p))
+    _eprint(f"||q||_L2 = {norms.q_l2:.9e}")
+    _eprint(f"||q||_Linf = {norms.q_linf:.9e}")
+    _eprint(f"||v||_L2 = {norms.v_l2:.9e}")
     return 0
 
 

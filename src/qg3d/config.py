@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -102,55 +101,37 @@ class RunConfig:
     max_particles: int = 4096
 
 
-# key -> (section object attr path, value type); types: int, float, bool,
-# str, floats (comma list)
-_SCHEMA: dict[str, tuple[str, str]] = {
-    "grid.nx": ("nx", "int"),
-    "grid.ny": ("ny", "int"),
-    "grid.nz": ("nz", "int"),
-    "grid.lx": ("lx", "float"),
-    "grid.ly": ("ly", "float"),
-    "grid.lz": ("lz", "float"),
-    "physics.beta": ("beta", "float"),
-    "physics.F": ("F", "float"),
-    "physics.nu": ("nu", "float"),
-    "ic.kind": ("ic.kind", "str"),
-    "ic.sx": ("ic.sx", "int"),
-    "ic.sy": ("ic.sy", "int"),
-    "ic.sz": ("ic.sz", "int"),
-    "ic.amplitude": ("ic.amplitude", "float"),
-    "ic.slope": ("ic.slope", "float"),
-    "ic.energy": ("ic.energy", "float"),
-    "ic.seed": ("ic.seed", "int"),
-    "ic.band_lo": ("ic.band_lo", "int"),
-    "ic.band_hi": ("ic.band_hi", "int"),
-    "ic.center": ("ic.center", "floats"),
-    "ic.width": ("ic.width", "float"),
-    "ic.path": ("ic.path", "str"),
-    "ic.profile": ("ic.profile", "floats"),
-    "time.mode": ("time.mode", "str"),
-    "time.dt": ("time.dt", "float"),
-    "time.cfl_number": ("time.cfl_number", "float"),
-    "time.dt_min": ("time.dt_min", "float"),
-    "time.dt_max": ("time.dt_max", "float"),
-    "time.t_end": ("time.t_end", "float"),
-    "output.directory": ("output.directory", "str"),
-    "output.record_every": ("output.record_every", "float"),
-    "output.snapshot_every": ("output.snapshot_every", "float"),
-    "output.checkpoint_every": ("output.checkpoint_every", "float"),
-    "checks.conservation": ("checks.conservation", "bool"),
-    "checks.growth": ("checks.growth", "bool"),
-    "checks.interpolation": ("checks.interpolation", "bool"),
-    "checks.tol_conservation": ("checks.tol_conservation", "float"),
-    "checks.tol_growth": ("checks.tol_growth", "float"),
-    "checks.sobolev_m": ("checks.sobolev_m", "int"),
-    "lagrangian.enabled": ("lagrangian.enabled", "bool"),
-    "lagrangian.particles": ("lagrangian.particles", "int"),
-    "lagrangian.z_levels": ("lagrangian.z_levels", "floats"),
-    "lagrangian.seed": ("lagrangian.seed", "int"),
-    "lagrangian.sample_every": ("lagrangian.sample_every", "int"),
-    "limits.max_particles": ("max_particles", "int"),
+# The key group of each top-level scalar field; a nested section's keys are
+# grouped under the section's field name.
+_TOP_LEVEL_GROUPS = {
+    "grid": ("nx", "ny", "nz", "lx", "ly", "lz"),
+    "physics": ("beta", "F", "nu"),
+    "limits": ("max_particles",),
 }
+
+
+# the value kind of each field annotation; "floats" is a comma list
+_VALUE_KINDS = {
+    "int": "int", "float": "float", "bool": "bool", "str": "str",
+    "tuple[float, ...]": "floats",
+}
+
+
+def _build_schema() -> dict[str, tuple[str, str]]:
+    """key -> (attribute path from RunConfig, value kind), in field order."""
+    group_of = {name: group for group, names in _TOP_LEVEL_GROUPS.items() for name in names}
+    schema = {}
+    for f in fields(RunConfig):
+        if f.name in group_of:
+            schema[f"{group_of[f.name]}.{f.name}"] = (f.name, _VALUE_KINDS[f.type])
+            continue
+        for sub in fields(f.default_factory):
+            path = f"{f.name}.{sub.name}"
+            schema[path] = (path, _VALUE_KINDS[sub.type])
+    return schema
+
+
+_SCHEMA = _build_schema()
 
 
 def _parse_value(kind: str, raw: str, key: str, lineno: int):
@@ -173,12 +154,13 @@ def _parse_value(kind: str, raw: str, key: str, lineno: int):
         raise ConfigParseError(f"line {lineno}: bad value for {key!r}: {exc}") from None
 
 
-def _set_path(cfg: RunConfig, path: str, value) -> None:
-    parts = path.split(".")
+def _owner(cfg: RunConfig, path: str):
+    """The object that holds the attribute a schema path names, and its name."""
+    *sections, name = path.split(".")
     obj = cfg
-    for part in parts[:-1]:
+    for part in sections:
         obj = getattr(obj, part)
-    setattr(obj, parts[-1], value)
+    return obj, name
 
 
 def parse_config(text: str) -> RunConfig:
@@ -196,23 +178,16 @@ def parse_config(text: str) -> RunConfig:
         if key not in _SCHEMA:
             raise ConfigParseError(f"line {lineno}: unknown key {key!r}")
         path, kind = _SCHEMA[key]
-        _set_path(cfg, path, _parse_value(kind, raw, key, lineno))
+        setattr(*_owner(cfg, path), _parse_value(kind, raw, key, lineno))
     validate_config(cfg)
     return cfg
-
-
-def _get_path(cfg: RunConfig, path: str):
-    obj = cfg
-    for part in path.split("."):
-        obj = getattr(obj, part)
-    return obj
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Full key set in schema order; parse(serialize(c)) == c."""
     lines = []
     for key, (path, kind) in _SCHEMA.items():
-        value = _get_path(cfg, path)
+        value = getattr(*_owner(cfg, path))
         if kind == "bool":
             text = "true" if value else "false"
         elif kind == "floats":
@@ -340,17 +315,18 @@ def adopt_state(cfg: RunConfig, state: State, source: str) -> State:
 
 
 def build_particle_sets(cfg: RunConfig, grid: GridSpec) -> list[ParticleSet]:
-    """Uniformly seeded particles, split evenly across the z-levels."""
+    """Uniformly seeded particles, split evenly across the z-levels; the
+    first ``particles % len(z_levels)`` levels take one particle more."""
     levels = cfg.lagrangian.z_levels
-    count = cfg.lagrangian.particles
-    per_level = count // len(levels) if levels else 0
+    per_level, extra = divmod(cfg.lagrangian.particles, len(levels)) if levels else (0, 0)
     rng = np.random.default_rng(cfg.lagrangian.seed)
     sets = []
-    for z in levels:
+    for i, z in enumerate(levels):
+        size = per_level + (i < extra)
         xy = np.column_stack(
             (
-                rng.uniform(0.0, grid.lx, size=per_level),
-                rng.uniform(0.0, grid.ly, size=per_level),
+                rng.uniform(0.0, grid.lx, size=size),
+                rng.uniform(0.0, grid.ly, size=size),
             )
         )
         sets.append(ParticleSet.at_rest(grid, xy, z))

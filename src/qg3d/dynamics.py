@@ -1,4 +1,5 @@
-"""Right-hand side of the evolution: advection, beta term, viscosity, forcing.
+"""Right-hand side of the evolution: advection, beta term, forcing.  The
+viscous term is left to the time integrator, which applies it exactly.
 
 The prognostic scalar is advected by the horizontal flow derived from the
 streamfunction, which in turn comes from the anisotropic elliptic inversion.
@@ -94,10 +95,9 @@ def tendency_raw(
     t: float,
     params: PhysicsParams,
     forcing: Forcing = NO_FORCING,
-    include_viscosity: bool = True,
 ) -> np.ndarray:
-    """dq/dt coefficients.  ``include_viscosity=False`` leaves the stiff
-    diffusion term out so a time integrator can treat it exactly instead."""
+    """dq/dt coefficients without the viscous term: the time integrator
+    applies the stiff diffusion exactly, through an integrating factor."""
     psi_c = solve_stratified_poisson(SpectralField(grid, q_c), params.F).coeffs
     out = jacobian_raw(grid, psi_c, q_c)
     # negating the float64 view flips the same sign bits as a complex negate,
@@ -108,10 +108,6 @@ def tendency_raw(
     if params.beta != 0.0:
         np.multiply(psi_c, grid.ikx, out=term)
         term *= params.beta
-        out -= term
-    if include_viscosity and params.nu != 0.0:
-        np.multiply(grid.k2_iso, q_c, out=term)
-        term *= params.nu
         out -= term
     if forcing.active:
         out += forcing.spectral(grid, t)

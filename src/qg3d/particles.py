@@ -169,13 +169,11 @@ class TrajectoryTracer:
         particle_sets: Sequence[ParticleSet],
         q0_hat: SpectralField,
         beta: float = 1.0,
-        stop_time: Optional[float] = None,
         sample_every: int = 0,
     ):
         self.sets = list(particle_sets)
         self.q0_hat = q0_hat
         self.beta = beta
-        self.stop_time = stop_time
         self.sample_every = sample_every
         self.samples: list[TrajectorySample] = []
         self.time: Optional[float] = None
@@ -190,8 +188,6 @@ class TrajectoryTracer:
                 f"tracer beta = {self.beta!r} differs from the state's beta = "
                 f"{state.params.beta!r}"
             )
-        if self.stop_time is not None and state.t > self.stop_time + 1e-12:
-            return
         psi_hat = solve_stratified_poisson(state.q_hat, state.params.F)
         tables = [velocity_table(psi_hat, ps.z_level) for ps in self.sets]
         self._buffer.append((state.t, tables))

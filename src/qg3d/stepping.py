@@ -98,7 +98,9 @@ def cfl_dt(state: State, control: StepControl) -> float:
     return float(min(max(dt, control.dt_min), control.dt_max))
 
 
-@lru_cache(maxsize=8)
+# two entries: the fixed or CFL step and an event-landing step; a CFL run
+# asks for a new dt each step and recomputes its pair
+@lru_cache(maxsize=2)
 def _viscous_factors(grid: GridSpec, nu: float, dt: float):
     e_half = np.exp(-nu * grid.k2_iso * (0.5 * dt))
     return e_half, e_half * e_half
@@ -119,9 +121,7 @@ def rk4_step(state: State, dt: float, forcing: Forcing = NO_FORCING) -> State:
     viscous = p.nu != 0.0
 
     def rhs(q_c: np.ndarray, t_c: float) -> np.ndarray:
-        return tendency_raw(
-            grid, q_c, t_c, p, forcing, include_viscosity=not viscous
-        )
+        return tendency_raw(grid, q_c, t_c, p, forcing)
 
     # Each stage is formed in place, in one buffer and the k arrays, by the
     # operations of these expressions in their order of evaluation, so every

@@ -80,7 +80,7 @@ def reference_run():
     cfg = parse_config(REFERENCE_CONFIG)
     state = build_initial_state(cfg)
     sets = build_particle_sets(cfg, state.grid)
-    tracer = TrajectoryTracer(sets, state.q_hat, beta=cfg.beta, stop_time=1.0)
+    tracer = TrajectoryTracer(sets, state.q_hat, beta=cfg.beta)
     history = []
     final = run(
         state,
@@ -88,7 +88,7 @@ def reference_run():
         step_control(cfg),
         observers=[
             Observer(lambda s: history.append(record(s)), every=cfg.output.record_every),
-            Observer(tracer),
+            Observer(lambda s: tracer(s) if s.t <= 1.0 + 1e-12 else None),
         ],
     )
     tracer.finalize()

@@ -213,6 +213,16 @@ def test_blowup_exits_2_and_keeps_partial_diagnostics(tmp_path, monkeypatch, cap
     assert not (out / "final.qg3d").exists()
 
 
+def test_verify_blowup_exits_2_and_keeps_partial_diagnostics(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, BLOWUP)
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["verify", cfg]) == 2
+    assert "blow-up" in capsys.readouterr().err
+    assert (out / "diagnostics.csv").exists()
+    assert (out / "ratios.csv").exists()
+    assert not (out / "final.qg3d").exists()
+
+
 def test_failed_check_exits_3(tmp_path, monkeypatch, capsys):
     # a coarse step leaves ~3e-13 truncation drift; a tighter tolerance than
     # that turns an otherwise healthy run into a FAIL

@@ -108,6 +108,14 @@ def test_digest_tracks_content():
     assert len(config_digest(a)) == 64
 
 
+def test_default_digest_is_stable():
+    # checkpoint sidecars store this digest; the key order and value format
+    # of serialize_config must not change it
+    assert config_digest(RunConfig()) == (
+        "73f68af21be339d3f37289f3b2b6f89b9c939aa2f55094f18c08ec123a8ce57e"
+    )
+
+
 def test_builders_produce_consistent_objects():
     cfg = parse_config("grid.nx = 16\ngrid.ny = 16\ngrid.nz = 8\nphysics.F = 2.0")
     grid = grid_spec(cfg)
@@ -173,6 +181,22 @@ def test_build_particle_sets_layout():
     again = build_particle_sets(cfg, grid_spec(cfg))
     for a, b in zip(sets, again):
         assert np.array_equal(a.positions, b.positions)
+
+
+def test_build_particle_sets_places_the_remainder_on_the_first_levels():
+    base = (
+        "grid.nx = 16\ngrid.ny = 16\ngrid.nz = 16\n"
+        "lagrangian.z_levels = 0.0, 3.0\n"
+    )
+    cfg = parse_config(base + "lagrangian.particles = 7\n")
+    sets = build_particle_sets(cfg, grid_spec(cfg))
+    assert [len(ps) for ps in sets] == [4, 3]
+    # a count that divides evenly draws the same positions as an even split
+    cfg = parse_config(base + "lagrangian.particles = 8\n")
+    rng = np.random.default_rng(cfg.lagrangian.seed)
+    for ps in build_particle_sets(cfg, grid_spec(cfg)):
+        xy = np.column_stack((rng.uniform(0.0, cfg.lx, 4), rng.uniform(0.0, cfg.ly, 4)))
+        assert np.array_equal(ps.labels, xy)
 
 
 def test_seed_fields_change_particle_layout():

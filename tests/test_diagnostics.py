@@ -212,6 +212,22 @@ def test_neutrality_check_fails_when_the_tendency_ignores_F(monkeypatch):
     assert not energy.passed
 
 
+def test_neutrality_check_fails_without_dealiasing(monkeypatch):
+    # the check's states fill the whole spectrum, so a Jacobian that skips
+    # the two-thirds truncation aliases and stops being neutral
+    def untruncated_jacobian(grid, psi_c, q_c):
+        psi_x, psi_y = inv(grid, psi_c * grid.ikx), inv(grid, psi_c * grid.iky)
+        q_x, q_y = inv(grid, q_c * grid.ikx), inv(grid, q_c * grid.iky)
+        jac = fwd(grid, psi_x * q_y - psi_y * q_x)
+        jac[0, 0, 0] = 0.0
+        return jac
+
+    monkeypatch.setattr("qg3d.dynamics.jacobian_raw", untruncated_jacobian)
+    params = PhysicsParams(beta=3.0, nu=0.0, F=2.0)
+    results = neutrality_checks(GridSpec(16, 16, 16), params, range(5))
+    assert not any(r.passed for r in results), results
+
+
 def test_growth_bounds_steady_zonal_zero_margin():
     grid = GridSpec(8, 16, 8)
     state = make_zonal(grid, np.cos(grid.y))

@@ -82,16 +82,6 @@ def test_beta_zero_single_mode_is_steady():
     assert np.max(np.abs(T)) < 1e-15
 
 
-def test_viscous_term_single_mode():
-    # with beta = 0 the tendency reduces to -nu |k|^2 q for one harmonic
-    grid = GridSpec(16, 16, 16)
-    params = PhysicsParams(beta=0.0, nu=0.3, F=1.0)
-    X, Y, Z = grid.mesh()
-    q = fwd(grid, np.cos(X + Y + Z))
-    T = tendency_raw(grid, q, 0.0, params)
-    assert np.max(np.abs(T - (-0.3 * 3.0) * q)) < 1e-14
-
-
 def test_tendency_neutrality_identities():
     grid = GridSpec(16, 16, 16)
     for seed in range(5):

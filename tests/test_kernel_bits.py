@@ -64,13 +64,11 @@ def ref_solve_stratified_poisson(q_hat, F):
     return SpectralField(grid, out)
 
 
-def ref_tendency_raw(grid, q_c, t, params, forcing=NO_FORCING, include_viscosity=True):
+def ref_tendency_raw(grid, q_c, t, params, forcing=NO_FORCING):
     psi_c = ref_solve_stratified_poisson(SpectralField(grid, q_c), params.F).coeffs
     out = -ref_jacobian_raw(grid, psi_c, q_c)
     if params.beta != 0.0:
         out -= params.beta * (psi_c * grid.ikx)
-    if include_viscosity and params.nu != 0.0:
-        out -= params.nu * (grid.k2_iso * q_c)
     if forcing.active:
         out += forcing.spectral(grid, t)
     out[0, 0, 0] = 0.0
@@ -82,7 +80,7 @@ def ref_rk4_coeffs(state, dt, forcing=NO_FORCING):
     viscous = p.nu != 0.0
 
     def rhs(q_c, t_c):
-        return ref_tendency_raw(grid, q_c, t_c, p, forcing, include_viscosity=not viscous)
+        return ref_tendency_raw(grid, q_c, t_c, p, forcing)
 
     k1 = rhs(q, t)
     if viscous:
@@ -272,11 +270,11 @@ def test_tendency_matches_reference(grid, dealiased):
     q = random_coeffs(grid, 7, dealiased)
     q_before = q.copy()
     forcings = [NO_FORCING, table_forcing(grid, 8)]
-    for beta, nu, F, include_viscosity, forcing in itertools.product(
-        (0.0, 1.3), (0.0, 0.02), F_VALUES, (True, False), forcings
+    for beta, nu, F, forcing in itertools.product(
+        (0.0, 1.3), (0.0, 0.02), F_VALUES, forcings
     ):
         params = PhysicsParams(beta=beta, nu=nu, F=F)
-        args = (grid, q, 0.25, params, forcing, include_viscosity)
+        args = (grid, q, 0.25, params, forcing)
         assert_same_bits(tendency_raw(*args), ref_tendency_raw(*args))
     assert_same_bits(q, q_before)
 

@@ -279,21 +279,6 @@ def test_tracer_handles_uneven_and_odd_steps():
     assert tracer.max_residual() < 1e-8
 
 
-def test_tracer_stop_time_freezes_particles():
-    grid = GridSpec(16, 16, 8)
-    state = make_random(grid, -3.0, 0.5, 9, band=(2, 3))
-    ps = ParticleSet.at_rest(grid, scattered_points(6, seed=9), 0.0)
-    tracer = TrajectoryTracer([ps], state.q_hat, beta=1.0, stop_time=0.05)
-    run(
-        state,
-        0.1,
-        StepControl(mode="fixed", dt_fixed=0.005),
-        observers=[Observer(tracer)],
-    )
-    tracer.finalize()
-    assert tracer.time <= 0.05 + 1e-12
-
-
 def test_trajectories_csv_format(tmp_path):
     grid = GridSpec(16, 16, 8)
     state = make_random(grid, -3.0, 0.5, 10, band=(2, 3))

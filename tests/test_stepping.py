@@ -10,7 +10,15 @@ from qg3d.errors import NonFiniteError
 from qg3d.grid import GridSpec
 from qg3d.initial import make_random, make_rossby, make_zonal
 from qg3d.spectral import SpectralField, fwd, inv
-from qg3d.stepping import Observer, State, StepControl, cfl_dt, rk4_step, run
+from qg3d.stepping import (
+    Observer,
+    State,
+    StepControl,
+    _viscous_factors,
+    cfl_dt,
+    rk4_step,
+    run,
+)
 
 
 def test_cfl_quiescent_gives_dt_max():
@@ -53,6 +61,21 @@ def test_pure_decay_is_exact():
     k2 = 3.0
     expected = c0 * np.exp(-params.nu * k2 * 1.0)
     assert abs(out.q_hat.coeffs[1, 1, 1] - expected) < 1e-12 * abs(expected)
+
+
+def test_viscous_factor_cache_stays_small_under_cfl_control():
+    # every CFL step asks for a new dt, so the cache holds at most the pair
+    # of the last two; a fixed step still reuses its pair
+    grid = GridSpec(16, 16, 16)
+    state = make_random(grid, -3.0, 100.0, 5, params=PhysicsParams(nu=0.01))
+    _viscous_factors.cache_clear()
+    run(state, 0.3, StepControl(mode="cfl", dt_max=1.0))
+    info = _viscous_factors.cache_info()
+    assert info.misses > 2 and info.currsize <= 2, info
+    _viscous_factors.cache_clear()
+    run(state, 0.1, StepControl(mode="fixed", dt_fixed=0.01))
+    info = _viscous_factors.cache_info()
+    assert info.hits >= 8 and info.currsize <= 2, info
 
 
 def test_single_step_fifth_order_local_error():
