@@ -32,7 +32,6 @@ from .initial import (
     make_random,
     make_rossby,
     make_zonal,
-    traveling_wave,
 )
 from .particles import (
     ParticleSet,
@@ -103,7 +102,6 @@ __all__ = [
     "serialize_config",
     "sobolev_norm",
     "solve_stratified_poisson",
-    "traveling_wave",
     "velocity_table",
     "write_checkpoint",
     "write_snapshot",

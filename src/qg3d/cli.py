@@ -29,7 +29,9 @@ from .config import (
     step_control,
 )
 from .diagnostics import (
+    SPATIAL_FLOOR_TOL,
     TEMPORAL_DTS,
+    TEMPORAL_RATIO_RANGE,
     CheckResult,
     check_conservation,
     check_growth_bounds,
@@ -250,14 +252,14 @@ def _cmd_converge(args) -> int:
         _eprint(f"  level {i}: error ratio {ratio:.2f}, observed order {math.log2(ratio):.3f}")
     sizes = (4, 8, 16, 32)
     rows = list(zip(sizes, spatial_floor_errors(cfg.F, sizes)))
-    _eprint("spatial refinement (single mode, t = 0.25):")
+    _eprint("spatial refinement (mode (m, m, m), m = max(1, n // 4), t = 0.25):")
     for n, err in rows:
         _eprint(f"  n = {n:3d}  max error = {err:.6e}")
-    # a ratio of 2^4 = 16 is fourth order; [14, 18] is acceptance criterion 3
-    ratios_ok = all(14.0 <= r <= 18.0 for r in ratios)
-    spatial_ok = all(err <= 1e-10 for n, err in rows if n >= 8)
-    _eprint(f"temporal error ratios in [14, 18]: {'yes' if ratios_ok else 'NO'}")
-    _eprint(f"spatial floor <= 1e-10 for n >= 8: {'yes' if spatial_ok else 'NO'}")
+    lo, hi = TEMPORAL_RATIO_RANGE
+    ratios_ok = all(lo <= r <= hi for r in ratios)
+    spatial_ok = all(err <= SPATIAL_FLOOR_TOL for n, err in rows if n >= 8)
+    _eprint(f"temporal error ratios in [{lo:g}, {hi:g}]: {'yes' if ratios_ok else 'NO'}")
+    _eprint(f"spatial floor <= {SPATIAL_FLOOR_TOL:g} for n >= 8: {'yes' if spatial_ok else 'NO'}")
     return 0 if (ratios_ok and spatial_ok) else 3
 
 

@@ -47,11 +47,11 @@ class ICSpec:
 
 @dataclass
 class TimeConfig:
-    mode: str = "cfl"
-    dt: float = 1e-3
-    cfl_number: float = 0.5
-    dt_min: float = 1e-9
-    dt_max: float = 5e-2
+    mode: str = StepControl.mode
+    dt: float = StepControl.dt_fixed
+    cfl_number: float = StepControl.cfl_number
+    dt_min: float = StepControl.dt_min
+    dt_max: float = StepControl.dt_max
     t_end: float = 1.0
 
 
@@ -87,12 +87,12 @@ class RunConfig:
     nx: int = 64
     ny: int = 64
     nz: int = 64
-    lx: float = _TWO_PI
-    ly: float = _TWO_PI
-    lz: float = _TWO_PI
-    beta: float = 1.0
-    F: float = 1.0
-    nu: float = 0.0
+    lx: float = GridSpec.lx
+    ly: float = GridSpec.ly
+    lz: float = GridSpec.lz
+    beta: float = PhysicsParams.beta
+    F: float = PhysicsParams.F
+    nu: float = PhysicsParams.nu
     ic: ICSpec = field(default_factory=ICSpec)
     time: TimeConfig = field(default_factory=TimeConfig)
     output: OutputConfig = field(default_factory=OutputConfig)

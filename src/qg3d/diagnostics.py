@@ -61,7 +61,8 @@ class DiagnosticsRecord:
     ``v_l2`` is the L2 norm of (v1, v2, F v3), whose square is the energy
     the inviscid dynamics conserve; ``v_linf`` is the plain |v| maximum.
     The trailing grad_v_l2/l4/l6 entries feed the reported (never asserted)
-    inequality ratios and are not part of the CSV schema.
+    inequality ratios, and ``beta`` is the state's beta, which scales the
+    growth bounds; none of the four is part of the CSV schema.
     """
 
     t: float
@@ -83,6 +84,7 @@ class DiagnosticsRecord:
     grad_v_l2: float
     grad_v_l4: float
     grad_v_l6: float
+    beta: float
 
 
 @dataclass(frozen=True)
@@ -190,6 +192,7 @@ def record(state: State, m: int = 4) -> DiagnosticsRecord:
         grad_v_l2=_lp_raw(dv, gradvmag, 2),
         grad_v_l4=_lp_raw(dv, gradvmag, 4),
         grad_v_l6=_lp_raw(dv, gradvmag, 6),
+        beta=state.params.beta,
     )
 
 
@@ -259,6 +262,10 @@ def _wave_error(
 
 #: Step sizes of the temporal refinement ladder, largest first.
 TEMPORAL_DTS = (4e-3, 2e-3, 1e-3)
+#: Accepted range of successive temporal error ratios: fourth order is 2^4 = 16.
+TEMPORAL_RATIO_RANGE = (14.0, 18.0)
+#: Largest accepted spatial floor error, on grids of 8^3 and finer.
+SPATIAL_FLOOR_TOL = 1e-10
 
 
 def temporal_order_errors() -> list[float]:
@@ -270,10 +277,14 @@ def temporal_order_errors() -> list[float]:
 
 
 def spatial_floor_errors(F: float, sizes: Iterable[int]) -> list[float]:
-    """Error at t = 0.25 (dt = 1e-3) of the wave (1, 1, 1) on an n^3 grid,
-    one per n in ``sizes``.  The mode is resolved exactly, so the error is
-    the time-stepping and rounding floor."""
-    return [_wave_error(GridSpec(n, n, n), F, 1.0, (1, 1, 1), 1e-3, 0.25) for n in sizes]
+    """Error at t = 0.25 (dt = 1e-3) of the wave (m, m, m), m = max(1, n // 4),
+    on an n^3 grid, one per n in ``sizes``.  The mode is resolved exactly, so
+    the error is the time-stepping and rounding floor; a wave at a quarter of
+    the grid's modes lets a wrong derivative multiplier above s = 1 show."""
+    return [
+        _wave_error(GridSpec(n, n, n), F, 1.0, (max(1, n // 4),) * 3, 1e-3, 0.25)
+        for n in sizes
+    ]
 
 
 def _integral_bound_check(
@@ -303,10 +314,11 @@ def check_growth_bounds(
     """Integral-form growth bounds along the recorded time series.
 
     Checks, with trapezoid path integrals over the record cadence,
-      (a) ||q(t)||_L6   <= ||q0||_L6   + integral of ||v2||_L6, and
-      (b) ||q(t)||_Linf <= ||q0||_Linf + integral of ||v2||_Linf;
-    both follow from integrating the scalar along horizontal particle paths,
-    where only v2 sources it.  Valid for inviscid unforced runs.
+      (a) ||q(t)||_L6   <= ||q0||_L6   + integral of |beta| ||v2||_L6, and
+      (b) ||q(t)||_Linf <= ||q0||_Linf + integral of |beta| ||v2||_Linf;
+    both follow from integrating dq/dt = -beta v2 along horizontal particle
+    paths.  Each record carries its own beta.  Valid for inviscid unforced
+    runs.
     """
     if len(history) < 2:
         raise InsufficientHistoryError("growth bounds need at least two records")
@@ -316,14 +328,14 @@ def check_growth_bounds(
             "q_l6 growth bound",
             t,
             np.array([r.q_l6 for r in history]),
-            np.array([r.v2_l6 for r in history]),
+            np.array([abs(r.beta) * r.v2_l6 for r in history]),
             tol_rel,
         ),
         _integral_bound_check(
             "q_linf growth bound",
             t,
             np.array([r.q_linf for r in history]),
-            np.array([r.v2_linf for r in history]),
+            np.array([abs(r.beta) * r.v2_linf for r in history]),
             tol_rel,
         ),
     ]

@@ -7,7 +7,6 @@ on a periodic box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -206,136 +205,35 @@ def make_zonal(
 
 # ---- manufactured solutions -----------------------------------------------
 
-_KINDS = ("one", "cos", "sin")
+# A target maps t to (psi_c, dpsi_dt_c): the half-spectrum coefficients of
+# the streamfunction and of its exact time derivative.
+_Target = Callable[[float], tuple[np.ndarray, np.ndarray]]
 
 
-@dataclass(frozen=True)
-class TrigTerm:
-    """One separable term A * T(t) * X(x) * Y(y) * Z(z) of a target field.
-
-    Each factor is "one", "cos", or "sin"; spatial factors use the integer
-    mode on their axis, the time factor uses the angular frequency omega
-    (cos(omega t) or sin(omega t)).  Term tables are exactly differentiable,
-    which is the whole point: no symbolic engine needed.
-    """
-
-    amplitude: float
-    tkind: str = "one"
-    omega: float = 0.0
-    xkind: str = "one"
-    sx: int = 0
-    ykind: str = "one"
-    sy: int = 0
-    zkind: str = "one"
-    sz: int = 0
-
-    def __post_init__(self):
-        for kind in (self.tkind, self.xkind, self.ykind, self.zkind):
-            if kind not in _KINDS:
-                raise ValueError(f"factor kind must be one of {_KINDS}, got {kind!r}")
-
-    def time_value(self, t: float) -> float:
-        if self.tkind == "one":
-            return 1.0
-        if self.tkind == "cos":
-            return float(np.cos(self.omega * t))
-        return float(np.sin(self.omega * t))
-
-    def time_derivative(self, t: float) -> float:
-        if self.tkind == "one":
-            return 0.0
-        if self.tkind == "cos":
-            return float(-self.omega * np.sin(self.omega * t))
-        return float(self.omega * np.cos(self.omega * t))
-
-    def spatial_values(self, grid: GridSpec) -> np.ndarray:
-        def factor(kind: str, s: int, coord: np.ndarray, length: float) -> np.ndarray:
-            if kind == "one":
-                return np.ones_like(coord)
-            angle = 2.0 * np.pi * s * coord / length
-            return np.cos(angle) if kind == "cos" else np.sin(angle)
-
-        fx = factor(self.xkind, self.sx, grid.x, grid.lx)
-        fy = factor(self.ykind, self.sy, grid.y, grid.ly)
-        fz = factor(self.zkind, self.sz, grid.z, grid.lz)
-        return self.amplitude * fz[:, None, None] * fy[None, :, None] * fx[None, None, :]
-
-
-def traveling_wave(
-    amplitude: float, s: tuple[int, int, int], omega: float
-) -> tuple[TrigTerm, ...]:
-    """Term table of A*cos(k.x - omega t), expanded into separable factors.
-
-    The expansion of a cosine of a four-term sum runs over the even-sized
-    subsets of factors turned into sines, with sign (-1)^(|subset|/2).
-    """
-    axes = (("x", s[0]), ("y", s[1]), ("z", s[2]), ("t", None))
-    terms = []
-    for mask in range(16):
-        chosen = [i for i in range(4) if mask & (1 << i)]
-        if len(chosen) % 2 != 0:
-            continue
-        sign = (-1) ** (len(chosen) // 2)
-        kinds = ["sin" if i in chosen else "cos" for i in range(4)]
-        # sin of a zero spatial frequency kills the whole term
-        if any(kinds[i] == "sin" and axes[i][1] == 0 for i in range(3)):
-            continue
-        terms.append(
-            TrigTerm(
-                amplitude=sign * amplitude,
-                tkind=kinds[3],
-                omega=-omega,  # the phase is k.x - omega t
-                xkind=kinds[0] if s[0] != 0 else "one",
-                sx=s[0],
-                ykind=kinds[1] if s[1] != 0 else "one",
-                sy=s[1],
-                zkind=kinds[2] if s[2] != 0 else "one",
-                sz=s[2],
-            )
-        )
-    return tuple(terms)
-
-
-def manufactured_solution(
-    grid: GridSpec, target: Sequence[TrigTerm], F: float, t: float
-) -> SpectralField:
-    """Exact spectral scalar of the target streamfunction table at time t."""
-    psi = np.zeros(grid.kshape, dtype=np.complex128)
-    for term in target:
-        psi += term.time_value(t) * fwd(grid, term.spatial_values(grid))
-    q_c = psi * grid.stratified_symbol(F)
+def manufactured_solution(grid: GridSpec, target: _Target, F: float, t: float) -> SpectralField:
+    """Exact spectral scalar of the target streamfunction at time t."""
+    q_c = target(t)[0] * grid.stratified_symbol(F)
     q_c[0, 0, 0] = 0.0
     return SpectralField(grid, q_c)
 
 
-def make_mms(
-    grid: GridSpec,
-    params: PhysicsParams,
-    target: Sequence[TrigTerm],
-) -> tuple[State, Forcing]:
+def make_mms(grid: GridSpec, params: PhysicsParams, target: _Target) -> tuple[State, Forcing]:
     """Source term that makes the target streamfunction an exact solution.
 
     The source is assembled from the same discrete operators the solver
     applies (dealiased advection, spectral derivatives), so the only error
-    left when running against it is time integration.
+    left when running against it is time integration.  Sources are cached by
+    t: an RK4 step asks for t + h twice and starts where the last one ended.
     """
-    phi_hats = [fwd(grid, term.spatial_values(grid)) for term in target]
     sym = grid.stratified_symbol(params.F)
-    terms = list(target)
-
     cache: dict[float, np.ndarray] = {}
 
     def evaluator(g: GridSpec, t: float) -> np.ndarray:
         if t in cache:
             return cache[t]
-        psi = np.zeros(grid.kshape, dtype=np.complex128)
-        psi_t = np.zeros(grid.kshape, dtype=np.complex128)
-        for term, phi in zip(terms, phi_hats):
-            psi += term.time_value(t) * phi
-            psi_t += term.time_derivative(t) * phi
+        psi, psi_t = target(t)
         q_c = sym * psi
-        q_t = sym * psi_t
-        out = q_t + jacobian_raw(grid, psi, q_c) + params.beta * (psi * grid.ikx)
+        out = sym * psi_t + jacobian_raw(grid, psi, q_c) + params.beta * (psi * grid.ikx)
         if params.nu != 0.0:
             out += params.nu * (grid.k2_iso * q_c)
         out[0, 0, 0] = 0.0

@@ -18,6 +18,8 @@ from qg3d.config import (
     step_control,
 )
 from qg3d.diagnostics import (
+    SPATIAL_FLOOR_TOL,
+    TEMPORAL_RATIO_RANGE,
     check_conservation,
     check_growth_bounds,
     neutrality_checks,
@@ -28,7 +30,6 @@ from qg3d.diagnostics import (
 from qg3d.dynamics import PhysicsParams
 from qg3d.grid import GridSpec
 from qg3d.initial import (
-    TrigTerm,
     make_mms,
     make_random,
     make_rossby,
@@ -42,7 +43,7 @@ from qg3d.snapshots import (
     write_checkpoint,
     write_snapshot,
 )
-from qg3d.spectral import SpectralField, inv, l2_norm
+from qg3d.spectral import SpectralField, fwd, inv, l2_norm
 from qg3d.stepping import Observer, State, StepControl, run
 
 REFERENCE_CONFIG = """\
@@ -130,10 +131,11 @@ def test_criterion_02_rossby_dispersion():
 
     floors = spatial_floor_errors(1.0, (8, 16, 32))
 
-    ok = rel <= 1e-4 and all(f <= 1e-10 for f in floors)
+    ok = rel <= 1e-4 and all(f <= SPATIAL_FLOOR_TOL for f in floors)
     detail = (
         f"omega {omega:.9f} vs -1/3, rel err {rel:.3e} (tol 1e-4); "
-        f"spatial floors {', '.join(f'{f:.1e}' for f in floors)} for n = 8, 16, 32 (tol 1e-10)"
+        f"spatial floors {', '.join(f'{f:.1e}' for f in floors)} for n = 8, 16, 32 "
+        f"(tol {SPATIAL_FLOOR_TOL:g})"
     )
     assert verdict(2, detail, ok), detail
 
@@ -141,10 +143,11 @@ def test_criterion_02_rossby_dispersion():
 def test_criterion_03_temporal_order():
     errors = temporal_order_errors()
     ratios = [errors[i] / errors[i + 1] for i in range(2)]
-    ok = all(14.0 <= r <= 18.0 for r in ratios)
+    lo, hi = TEMPORAL_RATIO_RANGE
+    ok = all(lo <= r <= hi for r in ratios)
     detail = (
         f"errors {', '.join(f'{e:.2e}' for e in errors)}; "
-        f"ratios {ratios[0]:.2f}, {ratios[1]:.2f} (need [14, 18])"
+        f"ratios {ratios[0]:.2f}, {ratios[1]:.2f} (need [{lo:g}, {hi:g}])"
     )
     assert verdict(3, detail, ok), detail
 
@@ -200,7 +203,12 @@ def test_criterion_06_planar_transport_invariants():
 def test_criterion_07_manufactured_solution():
     grid = GridSpec(32, 32, 32)
     params = PhysicsParams(beta=1.0, nu=0.0, F=1.0)
-    target = [TrigTerm(1.0, tkind="cos", omega=1.0, xkind="sin", sx=1, ykind="sin", sy=1)]
+    X, Y, _ = grid.mesh()
+    phi = fwd(grid, np.sin(X) * np.sin(Y))
+
+    def target(t):
+        return np.cos(t) * phi, -np.sin(t) * phi
+
     state, forcing = make_mms(grid, params, target)
     final = run(state, 1.0, StepControl(mode="fixed", dt_fixed=1e-3), forcing=forcing)
     want = manufactured_solution(grid, target, params.F, 1.0)

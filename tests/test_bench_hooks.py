@@ -12,6 +12,7 @@ from pathlib import Path
 
 import qg3d
 from qg3d import spectral
+from qg3d.diagnostics import check_growth_bounds
 from qg3d.particles import TrajectoryTracer
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,6 +51,11 @@ def test_transform_arrays_are_the_second_positional_argument():
         params = list(inspect.signature(fn).parameters.values())[:2]
         assert [p.name for p in params] == names
         assert all(p.kind in positional for p in params)
+
+
+def test_growth_check_takes_the_history_and_a_tolerance():
+    # bench/workloads.py calls check_growth_bounds(history, cfg.checks.tol_growth)
+    inspect.signature(check_growth_bounds).bind([], 1e-3)
 
 
 READERS = ("os.environ", "os.getenv")

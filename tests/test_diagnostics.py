@@ -1,6 +1,7 @@
 """Norm closed forms, conservation/growth check behavior (including a run
 engineered to fail), and the CSV emission contract."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,15 +9,18 @@ import pytest
 
 from qg3d.diagnostics import (
     CSV_COLUMNS,
+    SPATIAL_FLOOR_TOL,
     CheckResult,
     DiagnosticsRecord,
     _lp_raw,
+    _wave_error,
     check_conservation,
     check_growth_bounds,
     check_lp_interpolation,
     monitor_ratios,
     neutrality_checks,
     record,
+    spatial_floor_errors,
     write_diagnostics_csv,
     write_ratios_csv,
 )
@@ -39,6 +43,7 @@ V = (2.0 * np.pi) ** 3
 
 def rec(**kw) -> DiagnosticsRecord:
     base = {name: 0.0 for name in DiagnosticsRecord.__dataclass_fields__}
+    base["beta"] = 1.0
     base.update(kw)
     return DiagnosticsRecord(**base)
 
@@ -81,8 +86,9 @@ def test_record_zero_state():
     assert all(
         getattr(r, name) == 0.0
         for name in DiagnosticsRecord.__dataclass_fields__
-        if name != "t"
+        if name not in ("t", "beta")
     )
+    assert r.beta == state.params.beta
 
 
 def test_record_single_harmonic_closed_forms():
@@ -261,9 +267,55 @@ def test_growth_bounds_detect_violation():
     assert not any(r.passed for r in results)
 
 
+@pytest.fixture(scope="module")
+def beta_20_history():
+    # 16^3, shells 1-3, L2 norm 1e-4, seed 3, beta = 20: q_linf rises by
+    # 6.5e-6, far above the integral of ||v2||_Linf alone (1.6e-6)
+    grid = GridSpec(16, 16, 16)
+    state = make_random(grid, -3.0, 1e-4, 3, band=(1, 3), params=PhysicsParams(beta=20.0))
+    history = []
+    run(
+        state,
+        1.0,
+        StepControl(mode="fixed", dt_fixed=1e-3),
+        observers=[Observer(lambda s: history.append(record(s)), every=0.01)],
+    )
+    return history
+
+
+def test_growth_bounds_scale_the_v2_integral_by_beta(beta_20_history):
+    assert all(r.beta == 20.0 for r in beta_20_history)
+    results = check_growth_bounds(beta_20_history, 1e-3)
+    assert all(r.passed for r in results), results
+
+
+def test_growth_bounds_without_beta_fail_at_beta_20(beta_20_history):
+    # the same history checked as if beta were 1: the bound is 20 times
+    # too tight and both checks fail
+    history = [dataclasses.replace(r, beta=1.0) for r in beta_20_history]
+    results = check_growth_bounds(history, 1e-3)
+    assert not any(r.passed for r in results), results
+
+
 def test_growth_bounds_need_two_records():
     with pytest.raises(InsufficientHistoryError):
         check_growth_bounds([rec(t=0.0)], 1e-3)
+
+
+def test_spatial_floor_sees_a_wrong_derivative_multiplier(monkeypatch):
+    # i kx scaled by 1.001 for every s_x >= 2 shifts the beta term's
+    # frequency: the (n/4)^3 waves drift by 5e-4 and 1e-3, while the
+    # wave (1, 1, 1) is blind to it
+    plain = GridSpec.ikx.func
+
+    def skewed(grid):
+        m = plain(grid).copy()
+        m[..., 2:] *= 1.001
+        return m
+
+    monkeypatch.setattr(GridSpec, "ikx", property(skewed))
+    assert all(err > SPATIAL_FLOOR_TOL for err in spatial_floor_errors(1.0, (8, 16)))
+    assert _wave_error(GridSpec(8, 8, 8), 1.0, 1.0, (1, 1, 1), 1e-3, 0.25) <= SPATIAL_FLOOR_TOL
 
 
 def test_interpolation_check_on_real_field():

@@ -8,14 +8,12 @@ from qg3d.dynamics import PhysicsParams, tendency_raw
 from qg3d.errors import EmptyBandError, ZeroModeError
 from qg3d.grid import GridSpec
 from qg3d.initial import (
-    TrigTerm,
     make_blob,
     make_mms,
     make_random,
     make_rossby,
     make_zonal,
     manufactured_solution,
-    traveling_wave,
 )
 from qg3d.spectral import SpectralField, fwd, inv, l2_norm
 from qg3d.stepping import State, StepControl, run
@@ -173,25 +171,22 @@ def test_zonal_profile_length_checked():
         make_zonal(grid, np.cos(grid.x))  # 8 samples, need 16
 
 
-def test_traveling_wave_table_matches_direct_formula():
-    grid = GridSpec(16, 16, 16)
-    terms = traveling_wave(0.9, (1, 2, 1), -0.35)
+def traveling_wave(grid, amplitude, s, omega):
+    """Target A cos(k.x - omega t) as the two separable terms
+    cos(k.x) cos(omega t) + sin(k.x) sin(omega t)."""
     X, Y, Z = grid.mesh()
-    for t in (0.0, 0.6, 1.7):
-        total = np.zeros(grid.shape)
-        for term in terms:
-            total += term.time_value(t) * term.spatial_values(grid)
-        direct = 0.9 * np.cos(X + 2 * Y + Z - (-0.35) * t)
-        assert np.max(np.abs(total - direct)) < 1e-12
+    phase = s[0] * X + s[1] * Y + s[2] * Z
+    c, s_ = fwd(grid, amplitude * np.cos(phase)), fwd(grid, amplitude * np.sin(phase))
+
+    def target(t):
+        cw, sw = np.cos(omega * t), np.sin(omega * t)
+        return cw * c + sw * s_, omega * (cw * s_ - sw * c)
+
+    return target
 
 
-def test_trigterm_time_calculus():
-    term = TrigTerm(amplitude=1.0, tkind="cos", omega=2.0)
-    t = 0.3
-    assert abs(term.time_value(t) - np.cos(2.0 * t)) < 1e-15
-    assert abs(term.time_derivative(t) - (-2.0 * np.sin(2.0 * t))) < 1e-15
-    with pytest.raises(ValueError):
-        TrigTerm(amplitude=1.0, tkind="tan")
+def steady(phi):
+    return lambda t: (phi, np.zeros_like(phi))
 
 
 def test_mms_rossby_target_needs_no_forcing():
@@ -200,7 +195,7 @@ def test_mms_rossby_target_needs_no_forcing():
     beta, F = 1.0, 1.0
     k2 = 3.0
     omega = -beta / k2
-    target = traveling_wave(1.0, (1, 1, 1), omega)
+    target = traveling_wave(grid, 1.0, (1, 1, 1), omega)
     params = PhysicsParams(beta=beta, nu=0.0, F=F)
     state, forcing = make_mms(grid, params, target)
     scale = np.max(np.abs(state.q_hat.coeffs))
@@ -210,7 +205,8 @@ def test_mms_rossby_target_needs_no_forcing():
 
 def test_mms_zonal_target_needs_no_forcing():
     grid = GridSpec(8, 16, 8)
-    target = (TrigTerm(amplitude=1.0, ykind="cos", sy=2),)
+    _, Y, _ = grid.mesh()
+    target = steady(fwd(grid, np.cos(2 * Y)))
     state, forcing = make_mms(grid, PhysicsParams(), target)
     scale = np.max(np.abs(state.q_hat.coeffs))
     assert np.max(np.abs(forcing.spectral(grid, 0.5))) < 1e-13 * scale
@@ -220,10 +216,10 @@ def test_mms_forcing_closed_form_single_term():
     # psi* = cos(t) sin(x) with beta = 0: q* = -cos(t) sin(x) and the
     # advection vanishes, so F = q*_t = sin(t) sin(x)
     grid = GridSpec(16, 8, 8)
-    target = (TrigTerm(amplitude=1.0, tkind="cos", omega=1.0, xkind="sin", sx=1),)
-    params = PhysicsParams(beta=0.0, nu=0.0, F=1.0)
-    state, forcing = make_mms(grid, params, target)
     X, _, _ = grid.mesh()
+    phi = fwd(grid, np.sin(X))
+    params = PhysicsParams(beta=0.0, nu=0.0, F=1.0)
+    state, forcing = make_mms(grid, params, lambda t: (np.cos(t) * phi, -np.sin(t) * phi))
     for t in (0.2, 0.9):
         got = inv(grid, forcing.spectral(grid, t))
         assert np.max(np.abs(got - np.sin(t) * np.sin(X))) < 1e-13
@@ -231,12 +227,12 @@ def test_mms_forcing_closed_form_single_term():
 
 def test_mms_run_reproduces_target():
     grid = GridSpec(16, 16, 4)
-    target = (
-        TrigTerm(
-            amplitude=1.0, tkind="cos", omega=1.0,
-            xkind="sin", sx=1, ykind="sin", sy=1,
-        ),
-    )
+    X, Y, _ = grid.mesh()
+    phi = fwd(grid, np.sin(X) * np.sin(Y))
+
+    def target(t):
+        return np.cos(t) * phi, -np.sin(t) * phi
+
     params = PhysicsParams(beta=1.0, nu=0.0, F=1.0)
     state, forcing = make_mms(grid, params, target)
     t_end = 0.5
@@ -248,11 +244,10 @@ def test_mms_run_reproduces_target():
 
 def test_manufactured_solution_is_symbol_times_target():
     grid = GridSpec(16, 16, 8)
-    target = (TrigTerm(amplitude=0.5, xkind="cos", sx=2, zkind="sin", sz=1),)
-    got = manufactured_solution(grid, target, 2.0, 0.0)
     X, _, Z = grid.mesh()
-    # q = (dxx + F^2 dzz) psi = -(4 + 4) psi for modes (2, 0, 1), F = 2
     psi = 0.5 * np.cos(2 * X) * np.sin(Z)
+    got = manufactured_solution(grid, steady(fwd(grid, psi)), 2.0, 0.0)
+    # q = (dxx + F^2 dzz) psi = -(4 + 4) psi for modes (2, 0, 1), F = 2
     assert np.max(np.abs(inv(grid, got.coeffs) - (-8.0) * psi)) < 1e-12
 
 

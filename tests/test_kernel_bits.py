@@ -149,6 +149,7 @@ def ref_record(state, m=4):
         grad_v_l2=_lp_raw(dv, gradvmag, 2),
         grad_v_l4=_lp_raw(dv, gradvmag, 4),
         grad_v_l6=_lp_raw(dv, gradvmag, 6),
+        beta=state.params.beta,
     )
 
 
