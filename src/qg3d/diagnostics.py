@@ -110,8 +110,28 @@ def _lp_raw(cell_volume: float, values: np.ndarray, p: float) -> float:
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     # |f|^p can overflow on a diverging state; inf is the right saturation
+    powers = np.abs(values)
     with np.errstate(over="ignore"):
-        return float((np.sum(np.abs(values) ** p) * cell_volume) ** (1.0 / p))
+        # the in-place operator takes the same exponent fast paths as ``**``
+        powers **= p
+        return float((np.sum(powers) * cell_volume) ** (1.0 / p))
+
+
+def _norms(cell_volume: float, values: np.ndarray, *ps: float) -> list[float]:
+    return [_lp_raw(cell_volume, values, p) for p in ps]
+
+
+def _gradient_magnitude(fh: SpectralField) -> np.ndarray:
+    """|grad f| = sqrt(fx * fx + fy * fy + fz * fz) on the grid."""
+    g = fh.grid
+    ws = _workspace(g)
+    out = inv(g, np.multiply(fh.coeffs, g.ikx, out=ws))
+    out *= out
+    for mult in (g.iky, g.ikz):
+        comp = inv(g, np.multiply(fh.coeffs, mult, out=ws))
+        comp *= comp
+        out += comp
+    return np.sqrt(out, out=out)
 
 
 def _hessian_magnitude(fh: SpectralField) -> np.ndarray:
@@ -120,6 +140,7 @@ def _hessian_magnitude(fh: SpectralField) -> np.ndarray:
     g = fh.grid
     ws = _workspace(g)
     h2 = np.zeros(g.shape)
+    term = np.empty(g.shape)
     for m1, m2, mult in (
         (g.ikx, g.ikx, 1.0), (g.iky, g.iky, 1.0), (g.ikz, g.ikz, 1.0),
         (g.ikx, g.iky, 2.0), (g.ikx, g.ikz, 2.0), (g.iky, g.ikz, 2.0),
@@ -128,7 +149,10 @@ def _hessian_magnitude(fh: SpectralField) -> np.ndarray:
         np.multiply(fh.coeffs, m1, out=ws)
         ws *= m2
         comp = inv(g, ws)
-        h2 += mult * comp * comp
+        # h2 += mult * comp * comp, without its two temporaries
+        np.multiply(mult, comp, out=term)
+        term *= comp
+        h2 += term
     return np.sqrt(h2, out=h2)
 
 
@@ -136,62 +160,67 @@ def record(state: State, m: int = 4) -> DiagnosticsRecord:
     """Compute every monitored norm from the prognostic coefficients.
 
     m sets the Sobolev monitoring order: the scalar is tracked in H^(m-1)
-    and the velocity in H^m.
+    and the velocity in H^m.  Each field on the grid is reduced to its norms
+    and dropped before the next one is formed, and squares are taken in
+    place, so few grid arrays are alive at a time.
     """
     grid = state.grid
     q_hat = state.q_hat
-    psi_hat = solve_stratified_poisson(q_hat, state.params.F)
+    F = state.params.F
+    dv = grid.cell_volume
+    psi_hat = solve_stratified_poisson(q_hat, F)
     v1h, v2h, v3h = velocity_spectra(psi_hat)
 
-    q = inv(grid, q_hat.coeffs)
-    v1 = inv(grid, v1h.coeffs)
+    q_l2, q_l4, q_l6, q_linf = _norms(dv, inv(grid, q_hat.coeffs), 2, 4, 6, math.inf)
+
     v2 = inv(grid, v2h.coeffs)
-    v3 = inv(grid, v3h.coeffs)
-    # squared in place: v1 and v3 are not used again, so no array is added
-    vh_sq = np.multiply(v1, v1, out=v1)
-    vh_sq += v2 * v2
-    v3_sq = np.multiply(v3, v3, out=v3)
-    vmag = np.sqrt(vh_sq + v3_sq)
+    v2_l6, v2_linf = _norms(dv, v2, 6, math.inf)
+    # |v|^2 = (v1 * v1 + v2 * v2) + v3 * v3, each square formed in place
+    vh_sq = inv(grid, v1h.coeffs)
+    vh_sq *= vh_sq
+    v2 *= v2
+    vh_sq += v2
+    del v2
+    v3_sq = inv(grid, v3h.coeffs)
+    v3_sq *= v3_sq
+    vmag = np.add(vh_sq, v3_sq)
+    v_linf = _lp_raw(dv, np.sqrt(vmag, out=vmag), math.inf)
+    del vmag
     # the conserved energy weights the vertical component by F^2
-    v3_sq *= state.params.F * state.params.F
+    v3_sq *= F * F
     vh_sq += v3_sq
-    vmag_energy = np.sqrt(vh_sq, out=vh_sq)
+    del v3_sq
+    v_l2 = _lp_raw(dv, np.sqrt(vh_sq, out=vh_sq), 2)
+    del vh_sq
 
-    dv = grid.cell_volume
-
-    ws = _workspace(grid)
-
-    def d(mult: np.ndarray) -> np.ndarray:
-        return inv(grid, np.multiply(q_hat.coeffs, mult, out=ws))
-
-    qx, qy, qz = d(grid.ikx), d(grid.iky), d(grid.ikz)
-    dqmag = np.sqrt(qx * qx + qy * qy + qz * qz)
-
-    d2qmag = _hessian_magnitude(q_hat)
+    dq_l2, dq_l3, dq_l4 = _norms(dv, _gradient_magnitude(q_hat), 2, 3, 4)
+    d2q_l3 = _lp_raw(dv, _hessian_magnitude(q_hat), 3)
     # v = (-psi_y, psi_x, psi_z), so the sum of (d_j v_i)^2 over all nine
     # entries is the Hessian of psi with the off-diagonal entries twice
-    gradvmag = _hessian_magnitude(psi_hat)
+    grad_v_linf, grad_v_l2, grad_v_l4, grad_v_l6 = _norms(
+        dv, _hessian_magnitude(psi_hat), math.inf, 2, 4, 6
+    )
 
     return DiagnosticsRecord(
         t=state.t,
-        v_l2=_lp_raw(dv, vmag_energy, 2),
-        q_l2=_lp_raw(dv, q, 2),
-        q_l4=_lp_raw(dv, q, 4),
-        q_l6=_lp_raw(dv, q, 6),
-        q_linf=_lp_raw(dv, q, math.inf),
-        v_linf=_lp_raw(dv, vmag, math.inf),
-        v2_l6=_lp_raw(dv, v2, 6),
-        v2_linf=_lp_raw(dv, v2, math.inf),
-        dq_l2=_lp_raw(dv, dqmag, 2),
-        dq_l3=_lp_raw(dv, dqmag, 3),
-        dq_l4=_lp_raw(dv, dqmag, 4),
-        d2q_l3=_lp_raw(dv, d2qmag, 3),
+        v_l2=v_l2,
+        q_l2=q_l2,
+        q_l4=q_l4,
+        q_l6=q_l6,
+        q_linf=q_linf,
+        v_linf=v_linf,
+        v2_l6=v2_l6,
+        v2_linf=v2_linf,
+        dq_l2=dq_l2,
+        dq_l3=dq_l3,
+        dq_l4=dq_l4,
+        d2q_l3=d2q_l3,
         hm_q=sobolev_norm(q_hat, m - 1),
         hm_v=float(np.sqrt(sum(sobolev_norm(vh, m) ** 2 for vh in (v1h, v2h, v3h)))),
-        grad_v_linf=_lp_raw(dv, gradvmag, math.inf),
-        grad_v_l2=_lp_raw(dv, gradvmag, 2),
-        grad_v_l4=_lp_raw(dv, gradvmag, 4),
-        grad_v_l6=_lp_raw(dv, gradvmag, 6),
+        grad_v_linf=grad_v_linf,
+        grad_v_l2=grad_v_l2,
+        grad_v_l4=grad_v_l4,
+        grad_v_l6=grad_v_l6,
         beta=state.params.beta,
     )
 
@@ -296,7 +325,10 @@ def _integral_bound_check(
 ) -> CheckResult:
     rhs_series = lhs_series[0] + _cumtrapz(rate_series, t)
     margins = rhs_series - lhs_series
-    worst = int(np.argmin(margins / np.maximum(np.abs(rhs_series), 1e-300)))
+    # both sides are ||q0|| at the first record, so its margin is always 0;
+    # the worst record is sought among the later ones
+    relative = margins[1:] / np.maximum(np.abs(rhs_series[1:]), 1e-300)
+    worst = 1 + int(np.argmin(relative))
     lhs, rhs = float(lhs_series[worst]), float(rhs_series[worst])
     return CheckResult.from_bound(name, lhs, rhs, tol_rel * max(abs(rhs), 1e-300))
 

@@ -1,10 +1,12 @@
 """Transforms, spectral derivatives, the stratified elliptic solve, dealiasing.
 
-All operators act on whole fields and return new fields; nothing mutates its
-input.  The transform pair uses the "forward" normalization, so the zero
-coefficient of a transformed field is exactly its box mean.  A spectrum that
-only feeds an inverse transform is formed in the grid's kept workspace,
-``_workspace(grid)``, which never leaves the function that fills it.
+All operators act on whole fields and return new fields; none mutates its
+input, except that ``inv`` consumes the grid's kept workspace,
+``_workspace(grid)``.  The transform pair uses the "forward" normalization,
+so the zero coefficient of a transformed field is exactly its box mean.  A
+spectrum that only feeds an inverse transform is formed in the workspace,
+which never leaves the function that fills it; ``inv`` transforms there in
+place and skips the lines the two-thirds rule leaves empty.
 """
 
 from __future__ import annotations
@@ -52,7 +54,30 @@ def fwd(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 
 def inv(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    return sfft.irfftn(coeffs, s=grid.shape, norm="forward")
+    """Real field of a half spectrum: the bits of ``scipy.fft.irfftn``.
+
+    The three passes of ``irfftn`` (z, y, then the real x pass) run in place
+    in the workspace, into which ``coeffs`` is first copied unless it is the
+    workspace itself, whose contents are then lost.  When every x column and
+    every y row outside the two-thirds cube is zero, a line of the z pass
+    that meets one of them is zero before and after its transform, and so is
+    a line of the y pass in one of those columns; both passes skip them.
+    """
+    ws = _workspace(grid)
+    if coeffs is not ws:
+        np.copyto(ws, coeffs)
+    lo, hi, kx = _kept_extents(grid)
+    # a test of the bits is faster than one of the values, and stricter:
+    # only +0.0 counts as zero
+    bits = ws.view(np.uint64)
+    if bits[:, :, 2 * kx:].any() or bits[:, lo:hi, : 2 * kx].any():
+        z_lines, y_lines = (ws,), ws
+    else:
+        z_lines, y_lines = (ws[:, :lo, :kx], ws[:, hi:, :kx]), ws[:, :, :kx]
+    for lines in z_lines:
+        sfft.ifft(lines, axis=0, norm="forward", overwrite_x=True)
+    sfft.ifft(y_lines, axis=1, norm="forward", overwrite_x=True)
+    return sfft.irfft(ws, n=grid.nx, axis=2, norm="forward")
 
 
 @lru_cache(maxsize=8)
@@ -61,9 +86,20 @@ def _workspace(grid: GridSpec) -> np.ndarray:
 
     A fresh 2-MB product per inverse transform at 64^3 is memory that glibc
     hands back to the system between calls, so each one costs page faults;
-    the kept array costs them once.
+    the kept array costs them once.  ``inv`` transforms in it in place, so
+    its contents do not survive a call.
     """
     return np.empty(grid.kshape, dtype=np.complex128)
+
+
+@lru_cache(maxsize=8)
+def _kept_extents(grid: GridSpec) -> tuple[int, int, int]:
+    """The two-thirds cube of ``grid.dealias_mask`` as slice bounds: the y
+    rows [lo, hi) and the x columns [kx, nx // 2 + 1) are dropped."""
+    keep = grid.dealias_mask
+    dropped_rows = np.flatnonzero(~keep.any(axis=(0, 2)))
+    lo, hi = (dropped_rows[0], dropped_rows[-1] + 1) if dropped_rows.size else (grid.ny,) * 2
+    return int(lo), int(hi), int(keep.any(axis=(0, 1)).sum())
 
 
 # ---- spectral-space operators ---------------------------------------------

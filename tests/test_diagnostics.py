@@ -251,10 +251,8 @@ def test_growth_bounds_wave_has_positive_slack():
         record(State(exact(t), t, state.params)) for t in np.linspace(0.0, 1.0, 11)
     ]
     results = check_growth_bounds(history, 1e-3)
-    # the reported sample is the worst margin, which sits at t = 0 where
-    # both sides coincide; passing with nonnegative slack is the assertion
     assert all(r.passed for r in results)
-    assert all(r.slack >= -1e-12 * max(r.bound_rhs, 1.0) for r in results)
+    assert all(r.slack > 0.0 for r in results), results
 
 
 def test_growth_bounds_detect_violation():
