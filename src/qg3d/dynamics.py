@@ -8,6 +8,7 @@ The vertical velocity component never enters the advection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -15,23 +16,26 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .grid import GridSpec
-from .spectral import SpectralField, _workspace, fwd, inv, solve_stratified_poisson
+from .spectral import SpectralField, cube_derivative, fwd, inv, solve_stratified_poisson
 
 
 @dataclass(frozen=True)
 class PhysicsParams:
-    """Physical constants of the model: beta >= any, nu >= 0, F > 0.  F is
-    the stratification ratio of the elliptic operator; no other object holds it."""
+    """Physical constants of the model, all finite: beta any, nu >= 0,
+    F > 0.  F is the stratification ratio of the elliptic operator; no other
+    object holds it."""
 
     beta: float = 1.0
     nu: float = 0.0
     F: float = 1.0
 
     def __post_init__(self):
-        if self.nu < 0.0:
-            raise ValueError(f"nu must be >= 0, got {self.nu}")
-        if not self.F > 0.0:
-            raise ValueError(f"F must be positive, got {self.F}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError(f"nu must be finite and >= 0, got {self.nu}")
+        if not 0.0 < self.F < math.inf:
+            raise ValueError(f"F must be finite and positive, got {self.F}")
 
 
 @dataclass(frozen=True)
@@ -68,23 +72,26 @@ NO_FORCING = Forcing()
 def jacobian_raw(grid: GridSpec, psi_c: np.ndarray, q_c: np.ndarray) -> np.ndarray:
     """Dealiased pseudo-spectral J(psi, q) = psi_x q_y - psi_y q_x, raw arrays.
 
-    Inputs are truncated to the dealiased ball as they are differentiated,
-    the two products are formed on the grid, and the transform of the result
-    is truncated again.  With the two-thirds rule this evaluation is exactly
-    skew-symmetric over retained modes, which is what makes the quadratic
-    invariants hold to rounding.
+    Inputs are truncated to the two-thirds cube as they are differentiated,
+    the two products are formed on the grid, and only the kept cube of the
+    result's transform is computed.  With the two-thirds rule this
+    evaluation is exactly skew-symmetric over retained modes, which is what
+    makes the quadratic invariants hold to rounding.
+
+    Each derivative spectrum is formed by ``cube_derivative`` in the grid's
+    cube array, so only the kept 8/27 of the half spectrum is multiplied and
+    ``inv`` skips its zero test.  The truncation comes from the block
+    restriction, by the grid's own ``dealias_mask``: full-spectrum inputs
+    are truncated too.
     """
-    ikx, iky = grid.ikx_dealiased, grid.iky_dealiased
-    ws = _workspace(grid)
-    psi_x = inv(grid, np.multiply(psi_c, ikx, out=ws))
-    psi_y = inv(grid, np.multiply(psi_c, iky, out=ws))
-    q_x = inv(grid, np.multiply(q_c, ikx, out=ws))
-    q_y = inv(grid, np.multiply(q_c, iky, out=ws))
+    psi_x = inv(grid, cube_derivative(grid, psi_c, "x"))
+    psi_y = inv(grid, cube_derivative(grid, psi_c, "y"))
+    q_x = inv(grid, cube_derivative(grid, q_c, "x"))
+    q_y = inv(grid, cube_derivative(grid, q_c, "y"))
     psi_x *= q_y
     psi_y *= q_x
     psi_x -= psi_y
-    jac = fwd(grid, psi_x)
-    np.copyto(jac, 0.0, where=~grid.dealias_mask)
+    jac = fwd(grid, psi_x, truncate=True)
     jac[0, 0, 0] = 0.0
     return jac
 

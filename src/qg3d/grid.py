@@ -144,18 +144,6 @@ class GridSpec:
             m[self.nz // 2] = 0.0
         return m.reshape(-1, 1, 1)
 
-    # The x and y multipliers with every mode outside the two-thirds ball
-    # zeroed, shaped like a half-spectrum array: one product both truncates
-    # and differentiates.
-
-    @cached_property
-    def ikx_dealiased(self) -> np.ndarray:
-        return np.where(self.dealias_mask, self.ikx, 0.0)
-
-    @cached_property
-    def iky_dealiased(self) -> np.ndarray:
-        return np.where(self.dealias_mask, self.iky, 0.0)
-
     @cached_property
     def k2_iso(self) -> np.ndarray:
         """Isotropic |k|^2 = kx^2 + ky^2 + kz^2 on the half spectrum."""
@@ -184,6 +172,25 @@ class GridSpec:
         keep_y = (np.abs(self.sy) <= self.ny / 3.0).reshape(1, -1, 1)
         keep_z = (np.abs(self.sz) <= self.nz / 3.0).reshape(-1, 1, 1)
         return keep_x & keep_y & keep_z
+
+    @cached_property
+    def dealias_bounds(self) -> tuple[int, int, int, int, int]:
+        """The cube of ``dealias_mask`` as slice bounds (zlo, zhi, lo, hi, kx):
+        the z planes [zlo, zhi), the y rows [lo, hi) and the x columns
+        [kx, nx // 2 + 1) are dropped; (n, n) stands for none dropped.
+
+        Read off this instance's mask, so a grid whose mask is replaced
+        before first use truncates by the replacement.
+        """
+        keep = self.dealias_mask
+
+        def dropped(kept_along: np.ndarray, n: int) -> tuple[int, int]:
+            out = np.flatnonzero(~kept_along)
+            return (int(out[0]), int(out[-1]) + 1) if out.size else (n, n)
+
+        zlo, zhi = dropped(keep.any(axis=(1, 2)), self.nz)
+        lo, hi = dropped(keep.any(axis=(0, 2)), self.ny)
+        return zlo, zhi, lo, hi, int(keep.any(axis=(0, 1)).sum())
 
     @cached_property
     def hermitian_weight(self) -> np.ndarray:

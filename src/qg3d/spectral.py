@@ -1,12 +1,23 @@
 """Transforms, spectral derivatives, the stratified elliptic solve, dealiasing.
 
 All operators act on whole fields and return new fields; none mutates its
-input, except that ``inv`` consumes the grid's kept workspace,
-``_workspace(grid)``.  The transform pair uses the "forward" normalization,
-so the zero coefficient of a transformed field is exactly its box mean.  A
-spectrum that only feeds an inverse transform is formed in the workspace,
-which never leaves the function that fills it; ``inv`` transforms there in
-place and skips the lines the two-thirds rule leaves empty.
+input, except that ``inv`` consumes the grid's kept arrays.  The transform
+pair uses the "forward" normalization, so the zero coefficient of a
+transformed field is exactly its box mean.
+
+Two half spectra are kept per grid, for spectra that only feed an inverse
+transform.  Neither leaves the function that fills it, only ``inv`` reads
+them, and ``inv`` transforms in either in place, so their contents do not
+survive the call:
+
+- ``_workspace(grid)`` holds any spectrum.  ``inv`` skips the lines the
+  two-thirds rule leaves empty when a test of its bits allows.
+- the cube array of ``cube_derivative`` holds the Jacobian's derivative
+  spectra and is +0.0 outside the two-thirds cube by construction, so
+  ``inv`` skips those lines untested.
+
+``fwd(..., truncate=True)`` computes only the kept cube of the forward
+transform, for results the two-thirds rule truncates anyway.
 """
 
 from __future__ import annotations
@@ -49,35 +60,81 @@ def require_same_grid(*fields) -> GridSpec:
 
 # ---- raw-array transform helpers used by the hot loops -------------------
 
-def fwd(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    return sfft.rfftn(values, norm="forward")
+def fwd(grid: GridSpec, values: np.ndarray, *, truncate: bool = False) -> np.ndarray:
+    """Half spectrum of a real field: the bits of ``scipy.fft.rfftn``.
+
+    With ``truncate`` every coefficient outside the two-thirds cube comes
+    out +0.0, as if the ``rfftn`` result were masked; only the kept part is
+    computed.  The real x pass runs on every line, the z pass on the kept x
+    columns and the y pass on the kept z planes of those columns, each in
+    place in the x pass's output.  That order is byte-equal to ``rfftn``;
+    the y pass before the z pass is not.
+    """
+    if not truncate:
+        return sfft.rfftn(values, norm="forward")
+    zlo, zhi, lo, hi, kx = grid.dealias_bounds
+    out = sfft.rfft(values, axis=2, norm="forward")
+    sfft.fft(out[:, :, :kx], axis=0, norm="forward", overwrite_x=True)
+    for planes in (out[:zlo, :, :kx], out[zhi:, :, :kx]):
+        sfft.fft(planes, axis=1, norm="forward", overwrite_x=True)
+    out[:, :, kx:] = 0.0
+    out[zlo:zhi, :, :kx] = 0.0
+    out[:, lo:hi, :kx] = 0.0
+    return out
 
 
 def inv(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """Real field of a half spectrum: the bits of ``scipy.fft.irfftn``.
 
     The three passes of ``irfftn`` (z, y, then the real x pass) run in place
-    in the workspace, into which ``coeffs`` is first copied unless it is the
-    workspace itself, whose contents are then lost.  When every x column and
-    every y row outside the two-thirds cube is zero, a line of the z pass
-    that meets one of them is zero before and after its transform, and so is
-    a line of the y pass in one of those columns; both passes skip them.
+    in a kept array, whose contents are then lost.  ``coeffs`` is first
+    copied into ``_workspace(grid)`` unless it is that workspace or the cube
+    array of ``cube_derivative``.  When every x column and every y row
+    outside the two-thirds cube is zero, a line of the z pass that meets one
+    of them is zero before and after its transform, and so is a line of the
+    y pass in one of those columns; both passes skip them.  The cube array
+    holds +0.0 there by construction, so it is not tested.
     """
-    ws = _workspace(grid)
-    if coeffs is not ws:
-        np.copyto(ws, coeffs)
-    lo, hi, kx = _kept_extents(grid)
-    # a test of the bits is faster than one of the values, and stricter:
-    # only +0.0 counts as zero
-    bits = ws.view(np.uint64)
-    if bits[:, :, 2 * kx:].any() or bits[:, lo:hi, : 2 * kx].any():
-        z_lines, y_lines = (ws,), ws
-    else:
+    bounds = grid.dealias_bounds
+    _, _, lo, hi, kx = bounds
+    ws = _cube(grid, bounds)[0]
+    pruned = coeffs is ws
+    if not pruned:
+        ws = _workspace(grid)
+        if coeffs is not ws:
+            np.copyto(ws, coeffs)
+        # a test of the bits is faster than one of the values, and stricter:
+        # only +0.0 counts as zero
+        bits = ws.view(np.uint64)
+        pruned = not (bits[:, :, 2 * kx:].any() or bits[:, lo:hi, : 2 * kx].any())
+    if pruned:
         z_lines, y_lines = (ws[:, :lo, :kx], ws[:, hi:, :kx]), ws[:, :, :kx]
+    else:
+        z_lines, y_lines = (ws,), ws
     for lines in z_lines:
         sfft.ifft(lines, axis=0, norm="forward", overwrite_x=True)
     sfft.ifft(y_lines, axis=1, norm="forward", overwrite_x=True)
     return sfft.irfft(ws, n=grid.nx, axis=2, norm="forward")
+
+
+def cube_derivative(grid: GridSpec, coeffs: np.ndarray, axis: str) -> np.ndarray:
+    """x or y derivative of ``coeffs`` truncated to the two-thirds cube,
+    formed in the grid's cube array, which only ``inv`` may read.
+
+    The products are formed only in the kept (z range x y range) blocks of
+    the first kx columns, 8/27 of the array; everything else holds +0.0.
+    The last ``inv`` of the array filled only the dropped y rows and z
+    planes of those columns, so only they are zeroed again.  A kept
+    coefficient has the bits of the full product ``coeffs * grid.ik<axis>``.
+    """
+    bounds = grid.dealias_bounds
+    zlo, zhi, lo, hi, kx = bounds
+    ws, blocks = _cube(grid, bounds)
+    ws[:, lo:hi, :kx] = 0.0
+    ws[zlo:zhi, :, :kx] = 0.0
+    for block, ikx, iky in blocks:
+        np.multiply(coeffs[block], ikx if axis == "x" else iky, out=ws[block])
+    return ws
 
 
 @lru_cache(maxsize=8)
@@ -93,13 +150,18 @@ def _workspace(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _kept_extents(grid: GridSpec) -> tuple[int, int, int]:
-    """The two-thirds cube of ``grid.dealias_mask`` as slice bounds: the y
-    rows [lo, hi) and the x columns [kx, nx // 2 + 1) are dropped."""
-    keep = grid.dealias_mask
-    dropped_rows = np.flatnonzero(~keep.any(axis=(0, 2)))
-    lo, hi = (dropped_rows[0], dropped_rows[-1] + 1) if dropped_rows.size else (grid.ny,) * 2
-    return int(lo), int(hi), int(keep.any(axis=(0, 1)).sum())
+def _cube(grid: GridSpec, bounds: tuple[int, int, int, int, int]):
+    """The cube array, +0.0 outside the cube ``bounds`` whenever
+    ``cube_derivative`` hands it to ``inv``, and the non-empty kept blocks as
+    (index, x multiplier, y multiplier), each multiplier cut to the block.
+    Kept per grid and cube, so equal grids whose masks differ share nothing."""
+    zlo, zhi, lo, hi, kx = bounds
+    blocks = []
+    for zs in (slice(0, zlo), slice(zhi, grid.nz)):
+        for ys in (slice(0, lo), slice(hi, grid.ny)):
+            if zs.start < zs.stop and ys.start < ys.stop:
+                blocks.append(((zs, ys, slice(0, kx)), grid.ikx[:, :, :kx], grid.iky[:, ys]))
+    return np.zeros(grid.kshape, dtype=np.complex128), tuple(blocks)
 
 
 # ---- spectral-space operators ---------------------------------------------

@@ -9,6 +9,7 @@ problem exact to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
@@ -51,12 +52,12 @@ class StepControl:
     def __post_init__(self):
         if self.mode not in ("fixed", "cfl"):
             raise ValueError(f"mode must be 'fixed' or 'cfl', got {self.mode!r}")
-        if not self.dt_fixed > 0.0:
-            raise ValueError("dt_fixed must be positive")
+        if not 0.0 < self.dt_fixed < math.inf:
+            raise ValueError(f"dt_fixed must be finite and positive, got {self.dt_fixed}")
         if not 0.0 < self.cfl_number <= 1.0:
             raise ValueError("cfl_number must lie in (0, 1]")
-        if not (0.0 < self.dt_min <= self.dt_max):
-            raise ValueError("need 0 < dt_min <= dt_max")
+        if not 0.0 < self.dt_min <= self.dt_max < math.inf:
+            raise ValueError("need 0 < dt_min <= dt_max < inf")
 
 
 @dataclass

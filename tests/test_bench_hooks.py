@@ -10,9 +10,13 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import qg3d
-from qg3d import spectral
+from qg3d import spectral, stepping
 from qg3d.diagnostics import check_growth_bounds
+from qg3d.grid import GridSpec
+from qg3d.initial import make_random
 from qg3d.particles import TrajectoryTracer
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,6 +55,31 @@ def test_transform_arrays_are_the_second_positional_argument():
         params = list(inspect.signature(fn).parameters.values())[:2]
         assert [p.name for p in params] == names
         assert all(p.kind in positional for p in params)
+
+
+def test_a_fixed_step_makes_the_transform_calls_the_benchmark_counts(monkeypatch):
+    # bench/spans.py wraps fwd and inv in every qg3d module that holds them
+    # and reads the array from args[1]; bench/test_bench.py counts 16 inv
+    # and 4 fwd calls per step
+    calls = []
+    for name in ("fwd", "inv"):
+        original = getattr(spectral, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, args, kwargs))
+            return _original(*args, **kwargs)
+
+        for module in [m for n, m in list(sys.modules.items()) if n.startswith("qg3d")]:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+    state = make_random(GridSpec(16, 16, 16), -3.0, 1.0, 5, band=(2, 5))
+    stepping.run(state, 1e-3, stepping.StepControl(mode="fixed", dt_fixed=1e-3))
+    names = [name for name, _, _ in calls]
+    assert (names.count("inv"), names.count("fwd")) == (16, 4)
+    assert all(len(args) == 2 and isinstance(args[1], np.ndarray) for _, args, _ in calls)
+    assert [kwargs for name, _, kwargs in calls if name == "fwd"] == [{"truncate": True}] * 4
+    assert [kwargs for name, _, kwargs in calls if name == "inv"] == [{}] * 16
 
 
 def test_growth_check_takes_the_history_and_a_tolerance():

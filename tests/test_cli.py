@@ -161,6 +161,18 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize(
+    "line, section", [("physics.nu = nan", "physics"), ("time.dt = inf", "time")]
+)
+def test_non_finite_constants_exit_1(tmp_path, monkeypatch, capsys, line, section):
+    # ROSSBY_16 runs at time.mode = fixed, so time.dt is the step it takes
+    cfg = write_cfg(tmp_path, ROSSBY_16 + line + "\n")
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["run", cfg]) == 1
+    assert f"config error: {section}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_emits_outputs_and_check_table(tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path, ROSSBY_16)
     out = use_out(monkeypatch, tmp_path, "out")

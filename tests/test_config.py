@@ -85,6 +85,17 @@ def test_negative_viscosity_rejected():
     assert "nu" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "text, section",
+    [("physics.nu = nan", "physics"), ("physics.beta = inf", "physics"),
+     ("physics.beta = nan", "physics"), ("physics.F = inf", "physics"),
+     ("time.mode = fixed\ntime.dt = inf", "time"), ("time.dt_max = inf", "time")],
+)
+def test_non_finite_constants_rejected(text, section):
+    with pytest.raises(ConfigValidationError, match=f"^{section}: "):
+        parse_config(text)
+
+
 def test_invalid_invariants_rejected():
     for text in (
         "time.t_end = 0",

@@ -172,11 +172,10 @@ def test_conservation_passes_on_wave_run():
     assert {r.name for r in results} == {"v_l2 conservation", "q_l2 conservation"}
 
 
-def test_conservation_fails_without_dealiasing():
-    # regression that the check *can* fail: disabling the product mask breaks
-    # the skew symmetry of advection, and the drift shows up immediately
+def conservation_results(dealiased=False):
     grid = GridSpec(16, 16, 16)
-    grid.__dict__["dealias_mask"] = np.ones(grid.kshape, dtype=bool)
+    if not dealiased:
+        grid.__dict__["dealias_mask"] = np.ones(grid.kshape, dtype=bool)
     state = make_random(grid, -1.0, 4.0, 12, band=(3, 7))
     history = []
     run(
@@ -185,8 +184,21 @@ def test_conservation_fails_without_dealiasing():
         StepControl(mode="fixed", dt_fixed=5e-3),
         observers=[Observer(lambda s: history.append(record(s)), every=0.1)],
     )
-    results = check_conservation(history, 1e-6)
-    assert not all(r.passed for r in results)
+    return check_conservation(history, 1e-6)
+
+
+def test_conservation_fails_without_dealiasing():
+    # regression that the check *can* fail: disabling the product mask breaks
+    # the skew symmetry of advection, and the drift shows up immediately
+    assert not all(r.passed for r in conservation_results())
+
+
+def test_conservation_fails_without_dealiasing_after_an_ordinary_grid():
+    # equal grids with and without the usual mask, in both orders: neither
+    # may truncate by the other's cube
+    assert all(r.passed for r in conservation_results(dealiased=True))
+    assert not all(r.passed for r in conservation_results())
+    assert all(r.passed for r in conservation_results(dealiased=True))
 
 
 def test_conservation_requires_history():

@@ -121,6 +121,16 @@ def test_forcing_projects_mean_and_checks_shape():
         Forcing(bad_shape).spectral(grid, 0.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"nu": np.nan}, {"nu": np.inf}, {"beta": np.nan}, {"beta": np.inf}, {"beta": -np.inf},
+     {"F": np.inf}, {"F": np.nan}],
+)
+def test_physics_params_must_be_finite(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        PhysicsParams(**kwargs)
+
+
 def test_no_forcing_is_inactive():
     assert not NO_FORCING.active
     grid = GridSpec(8, 8, 8)

@@ -4,7 +4,9 @@
 stage arithmetic of ``rk4_step`` work in place on precomputed multipliers,
 and ``jacobian_raw``, ``record`` and ``cfl_dt`` form the spectra they
 transform in a workspace kept per grid, where ``inv`` transforms them in
-place and skips the lines the two-thirds rule leaves empty.  The references
+place and skips the lines the two-thirds rule leaves empty; the Jacobian's
+derivative spectra hold only the two-thirds cube, and its forward transform
+computes only that cube.  The references
 below are the straightforward array expressions they replace, with
 ``scipy.fft.irfftn`` as the inverse transform, kept as the specification:
 every result must match them byte for byte, not merely to a tolerance.
@@ -211,7 +213,9 @@ def assert_same_bits(new, ref):
 # ---- the kernels ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("grid", GRIDS, ids=grid_id)
+@pytest.mark.parametrize(
+    "grid", GRIDS + [GridSpec(32, 16, 32), GridSpec(64, 64, 1)], ids=grid_id
+)
 @pytest.mark.parametrize("dealiased", [True, False])
 def test_jacobian_matches_reference(grid, dealiased):
     psi = random_coeffs(grid, 1, dealiased)
@@ -340,7 +344,7 @@ def test_cfl_dt_matches_reference(grid, dealiased):
     assert_same_bits(q, q_before)
 
 
-# ---- the kept workspace ----------------------------------------------------------
+# ---- the kept arrays -------------------------------------------------------------
 
 
 def test_results_share_no_memory_with_the_workspace():
@@ -373,6 +377,60 @@ def test_each_grid_has_its_own_workspace():
     assert spectral._workspace(GridSpec(8, 8, 8)) is a
 
 
+def test_cube_derivative_is_the_truncated_product_after_any_use():
+    # the cube array is +0.0 outside the cube again after a Jacobian of full
+    # spectra has left the dropped rows and planes filled
+    for grid in (GridSpec(8, 8, 8), GridSpec(32, 16, 32), GridSpec(2, 4, 8), GridSpec(64, 64, 1)):
+        full = random_coeffs(grid, 28, dealiased=False)
+        jacobian_raw(grid, full, random_coeffs(grid, 29, dealiased=False))
+        for axis, mult in (("x", grid.ikx), ("y", grid.iky)):
+            expected = np.where(grid.dealias_mask, full * mult, 0.0)
+            ws = spectral.cube_derivative(grid, full, axis)
+            assert ws is spectral._cube(grid, grid.dealias_bounds)[0]
+            assert_same_bits(ws, expected)
+            assert_same_bits(inv(grid, ws), ref_inv(grid, expected))
+
+
+def test_a_grid_whose_mask_is_replaced_truncates_by_its_own_mask():
+    # an ordinary grid used first must not lend its cube to an equal grid
+    # whose mask keeps everything
+    ordinary = GridSpec(16, 16, 16)
+    psi = random_coeffs(ordinary, 34, dealiased=False)
+    q = random_coeffs(ordinary, 35, dealiased=False)
+    truncated = jacobian_raw(ordinary, psi, q)
+    replaced = GridSpec(16, 16, 16)
+    replaced.__dict__["dealias_mask"] = np.ones(replaced.kshape, dtype=bool)
+    assert replaced == ordinary
+    assert replaced.dealias_bounds == (16, 16, 16, 16, 9)
+    psi_x, psi_y = ref_inv(replaced, psi * replaced.ikx), ref_inv(replaced, psi * replaced.iky)
+    q_x, q_y = ref_inv(replaced, q * replaced.ikx), ref_inv(replaced, q * replaced.iky)
+    untruncated = sfft.rfftn(psi_x * q_y - psi_y * q_x, norm="forward")
+    untruncated[0, 0, 0] = 0.0
+    assert_same_bits(jacobian_raw(replaced, psi, q), untruncated)
+    assert not np.array_equal(untruncated, truncated)
+    assert_same_bits(jacobian_raw(ordinary, psi, q), truncated)
+
+
+# ---- the forward transform ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [GridSpec(16, 16, 16), GridSpec(32, 16, 32), GridSpec(32, 32, 32), GridSpec(64, 64, 64),
+     GridSpec(2, 4, 8), GridSpec(8, 1, 1), GridSpec(1024, 1024, 1)],
+    ids=grid_id,
+)
+def test_truncated_fwd_matches_rfftn_and_the_mask(grid):
+    for seed in (31, 32, 33):
+        values = np.random.default_rng(seed).standard_normal(grid.shape)
+        kept = values.copy()
+        ref = np.where(grid.dealias_mask, sfft.rfftn(values, norm="forward"), 0.0)
+        out = fwd(grid, values, truncate=True)
+        assert_same_bits(out, ref)
+        assert_same_bits(values, kept)
+        assert not np.shares_memory(out, values)
+
+
 # ---- the inverse transform ---------------------------------------------------------
 
 INV_GRIDS = [
@@ -402,7 +460,8 @@ def just_outside(grid):
 def inv_inputs(grid):
     full = random_coeffs(grid, 19, dealiased=False)
     dealiased = np.where(grid.dealias_mask, full, 0.0)
-    cases = {"dealiased": dealiased, "full": full, "d/dx": full * grid.ikx_dealiased}
+    d_dx = np.where(grid.dealias_mask, full * grid.ikx, 0.0)
+    cases = {"dealiased": dealiased, "full": full, "d/dx": d_dx}
     for spot in just_outside(grid):
         c = dealiased.copy()
         c[spot] = 0.25 - 0.5j
@@ -426,10 +485,10 @@ def test_inv_matches_irfftn(grid):
 
 
 def test_inv_prunes_exactly_the_lines_outside_the_cube():
-    # 64^3: columns s_x > 21 and rows 21 < |s_y| are dropped
-    assert spectral._kept_extents(GridSpec(64, 64, 64)) == (22, 43, 22)
-    assert spectral._kept_extents(GridSpec(8, 4, 2)) == (2, 3, 3)
-    assert spectral._kept_extents(GridSpec(8, 1, 1)) == (1, 1, 3)
+    # 64^3: columns s_x > 21, and rows and planes with 21 < |s| are dropped
+    assert GridSpec(64, 64, 64).dealias_bounds == (22, 43, 22, 43, 22)
+    assert GridSpec(8, 4, 2).dealias_bounds == (1, 2, 2, 3, 3)
+    assert GridSpec(8, 1, 1).dealias_bounds == (1, 1, 1, 1, 3)
 
 
 def test_inv_of_a_spectrum_with_one_coefficient_outside_the_cube_is_not_pruned():

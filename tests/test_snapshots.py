@@ -130,6 +130,18 @@ def test_nonfinite_payload_rejected(tmp_path):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("name", ["beta", "nu", "F"])
+def test_non_finite_header_constant_rejected(tmp_path, name):
+    blob = bytearray(snapshot_bytes(sample_state()))
+    # header: magic, version, nx, ny, nz, lx, ly, lz, F, beta, nu, t
+    offset = struct.calcsize("<4sI3Q3d") + 8 * ("F", "beta", "nu").index(name)
+    blob[offset : offset + 8] = struct.pack("<d", np.nan)
+    path = tmp_path / "nan.qg3d"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(SnapshotFormatError, match=name):
+        read_snapshot(path)
+
+
 def test_checkpoint_sidecar(tmp_path):
     state = sample_state(t=0.75)
     path = tmp_path / "ck.qg3d"

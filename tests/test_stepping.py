@@ -224,3 +224,11 @@ def test_step_control_validation():
         StepControl(mode="fixed", dt_fixed=-1.0)
     with pytest.raises(ValueError):
         StepControl(mode="cfl", dt_min=0.1, dt_max=0.01)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"dt_fixed": np.inf}, {"dt_max": np.inf}, {"dt_fixed": np.nan}, {"dt_min": np.nan}]
+)
+def test_step_control_rejects_non_finite_steps(kwargs):
+    with pytest.raises(ValueError):
+        StepControl(**kwargs)
