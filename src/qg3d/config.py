@@ -228,12 +228,13 @@ def validate_config(cfg: RunConfig) -> None:
         step_control(cfg)
     except ValueError as exc:
         fail(f"time: {exc}")
-    if not cfg.time.t_end > 0.0:
-        fail("time.t_end must be > 0")
-    if not cfg.output.record_every > 0.0:
-        fail("output.record_every must be > 0")
-    if cfg.output.snapshot_every < 0.0 or cfg.output.checkpoint_every < 0.0:
-        fail("output intervals must be >= 0")
+    if not 0.0 < cfg.time.t_end < math.inf:
+        fail(f"time: t_end must be finite and > 0, got {cfg.time.t_end}")
+    out = cfg.output
+    if not 0.0 < out.record_every < math.inf:
+        fail(f"output: record_every must be finite and > 0, got {out.record_every}")
+    if not all(0.0 <= every < math.inf for every in (out.snapshot_every, out.checkpoint_every)):
+        fail("output: snapshot_every and checkpoint_every must be finite and >= 0")
     if not cfg.checks.tol_conservation > 0.0 or not cfg.checks.tol_growth > 0.0:
         fail("check tolerances must be > 0")
     if cfg.checks.sobolev_m < 1:

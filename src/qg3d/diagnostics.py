@@ -29,7 +29,6 @@ from .spectral import (
     l2_norm,
     sobolev_norm,
     solve_stratified_poisson,
-    velocity_spectra,
 )
 from .stepping import State, StepControl, run
 
@@ -169,19 +168,25 @@ def record(state: State, m: int = 4) -> DiagnosticsRecord:
     F = state.params.F
     dv = grid.cell_volume
     psi_hat = solve_stratified_poisson(q_hat, F)
-    v1h, v2h, v3h = velocity_spectra(psi_hat)
+    ws = _workspace(grid)
+
+    def velocity(mult):
+        # H^m norm and grid values of a velocity component, up to sign: v1 =
+        # -psi_y enters only squared
+        np.multiply(psi_hat.coeffs, mult, out=ws)
+        return sobolev_norm(SpectralField(grid, ws), m), inv(grid, ws)
 
     q_l2, q_l4, q_l6, q_linf = _norms(dv, inv(grid, q_hat.coeffs), 2, 4, 6, math.inf)
 
-    v2 = inv(grid, v2h.coeffs)
+    hm_v2, v2 = velocity(grid.ikx)
     v2_l6, v2_linf = _norms(dv, v2, 6, math.inf)
     # |v|^2 = (v1 * v1 + v2 * v2) + v3 * v3, each square formed in place
-    vh_sq = inv(grid, v1h.coeffs)
+    hm_v1, vh_sq = velocity(grid.iky)
     vh_sq *= vh_sq
     v2 *= v2
     vh_sq += v2
     del v2
-    v3_sq = inv(grid, v3h.coeffs)
+    hm_v3, v3_sq = velocity(grid.ikz)
     v3_sq *= v3_sq
     vmag = np.add(vh_sq, v3_sq)
     v_linf = _lp_raw(dv, np.sqrt(vmag, out=vmag), math.inf)
@@ -216,7 +221,7 @@ def record(state: State, m: int = 4) -> DiagnosticsRecord:
         dq_l4=dq_l4,
         d2q_l3=d2q_l3,
         hm_q=sobolev_norm(q_hat, m - 1),
-        hm_v=float(np.sqrt(sum(sobolev_norm(vh, m) ** 2 for vh in (v1h, v2h, v3h)))),
+        hm_v=float(np.sqrt(sum(n**2 for n in (hm_v1, hm_v2, hm_v3)))),
         grad_v_linf=grad_v_linf,
         grad_v_l2=grad_v_l2,
         grad_v_l4=grad_v_l4,

@@ -1,20 +1,20 @@
 """Transforms, spectral derivatives, the stratified elliptic solve, dealiasing.
 
 All operators act on whole fields and return new fields; none mutates its
-input, except that ``inv`` consumes the grid's kept arrays.  The transform
-pair uses the "forward" normalization, so the zero coefficient of a
-transformed field is exactly its box mean.
+input, except that ``inv`` consumes the cube array of ``cube_derivative``.
+The transform pair uses the "forward" normalization, so the zero
+coefficient of a transformed field is exactly its box mean.
 
-Two half spectra are kept per grid, for spectra that only feed an inverse
-transform.  Neither leaves the function that fills it, only ``inv`` reads
-them, and ``inv`` transforms in either in place, so their contents do not
-survive the call:
+Two half spectra are kept per grid.  Neither leaves the function that fills
+it:
 
-- ``_workspace(grid)`` holds any spectrum.  ``inv`` skips the lines the
-  two-thirds rule leaves empty when a test of its bits allows.
+- ``_workspace(grid)`` is a product buffer for short-lived spectra: the
+  diagnostics and the CFL bound form the spectra they transform in it.
+  ``inv`` reads it like any other array and leaves it as it was.
 - the cube array of ``cube_derivative`` holds the Jacobian's derivative
-  spectra and is +0.0 outside the two-thirds cube by construction, so
-  ``inv`` skips those lines untested.
+  spectra and is +0.0 outside the two-thirds cube by construction.  Only
+  ``inv`` reads it; it transforms the array in place and skips the lines
+  the two-thirds rule leaves empty, so its contents do not survive the call.
 
 ``fwd(..., truncate=True)`` computes only the kept cube of the forward
 transform, for results the two-thirds rule truncates anyway.
@@ -86,34 +86,21 @@ def fwd(grid: GridSpec, values: np.ndarray, *, truncate: bool = False) -> np.nda
 def inv(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """Real field of a half spectrum: the bits of ``scipy.fft.irfftn``.
 
-    The three passes of ``irfftn`` (z, y, then the real x pass) run in place
-    in a kept array, whose contents are then lost.  ``coeffs`` is first
-    copied into ``_workspace(grid)`` unless it is that workspace or the cube
-    array of ``cube_derivative``.  When every x column and every y row
-    outside the two-thirds cube is zero, a line of the z pass that meets one
-    of them is zero before and after its transform, and so is a line of the
-    y pass in one of those columns; both passes skip them.  The cube array
-    holds +0.0 there by construction, so it is not tested.
+    Any spectrum but the cube array of ``cube_derivative`` goes to
+    ``irfftn`` and is left as it was.  The cube array holds +0.0 outside
+    the two-thirds cube by construction, so ``irfftn``'s passes run on it in
+    place and skip the lines that are zero before and after their transform:
+    the z pass skips the dropped y rows and x columns, the y pass the dropped
+    x columns.  Its contents are then lost.
     """
     bounds = grid.dealias_bounds
-    _, _, lo, hi, kx = bounds
     ws = _cube(grid, bounds)[0]
-    pruned = coeffs is ws
-    if not pruned:
-        ws = _workspace(grid)
-        if coeffs is not ws:
-            np.copyto(ws, coeffs)
-        # a test of the bits is faster than one of the values, and stricter:
-        # only +0.0 counts as zero
-        bits = ws.view(np.uint64)
-        pruned = not (bits[:, :, 2 * kx:].any() or bits[:, lo:hi, : 2 * kx].any())
-    if pruned:
-        z_lines, y_lines = (ws[:, :lo, :kx], ws[:, hi:, :kx]), ws[:, :, :kx]
-    else:
-        z_lines, y_lines = (ws,), ws
-    for lines in z_lines:
+    if coeffs is not ws:
+        return sfft.irfftn(coeffs, s=grid.shape, norm="forward")
+    _, _, lo, hi, kx = bounds
+    for lines in (ws[:, :lo, :kx], ws[:, hi:, :kx]):
         sfft.ifft(lines, axis=0, norm="forward", overwrite_x=True)
-    sfft.ifft(y_lines, axis=1, norm="forward", overwrite_x=True)
+    sfft.ifft(ws[:, :, :kx], axis=1, norm="forward", overwrite_x=True)
     return sfft.irfft(ws, n=grid.nx, axis=2, norm="forward")
 
 
@@ -139,12 +126,13 @@ def cube_derivative(grid: GridSpec, coeffs: np.ndarray, axis: str) -> np.ndarray
 
 @lru_cache(maxsize=8)
 def _workspace(grid: GridSpec) -> np.ndarray:
-    """One half spectrum kept per grid for temporaries that only feed ``inv``.
+    """One half spectrum kept per grid as a product buffer for spectra that
+    are transformed, or reduced to a norm, and then dropped.
 
     A fresh 2-MB product per inverse transform at 64^3 is memory that glibc
     hands back to the system between calls, so each one costs page faults;
-    the kept array costs them once.  ``inv`` transforms in it in place, so
-    its contents do not survive a call.
+    the kept array costs them once.  ``inv`` does not write to it, so it
+    still holds the spectrum after the call.
     """
     return np.empty(grid.kshape, dtype=np.complex128)
 

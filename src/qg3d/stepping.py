@@ -74,8 +74,8 @@ class Observer:
     every: Optional[float] = None
 
     def __post_init__(self):
-        if self.every is not None and not self.every > 0.0:
-            raise ValueError("observer interval must be positive")
+        if self.every is not None and not 0.0 < self.every < math.inf:
+            raise ValueError(f"observer interval must be finite and positive, got {self.every}")
 
 
 def cfl_dt(state: State, control: StepControl) -> float:
@@ -217,6 +217,8 @@ def run(
     samples are equally spaced regardless of what the CFL controller does in
     between, and a run restarted from t0 lands on the direct run's times.
     """
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end = {t_end} is not finite")
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} is before current time {state.t}")
     obs = [o if isinstance(o, Observer) else Observer(o) for o in observers]

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import qg3d
-from qg3d import spectral, stepping
+from qg3d import diagnostics, spectral, stepping
 from qg3d.diagnostics import check_growth_bounds
 from qg3d.grid import GridSpec
 from qg3d.initial import make_random
@@ -57,10 +57,10 @@ def test_transform_arrays_are_the_second_positional_argument():
         assert all(p.kind in positional for p in params)
 
 
-def test_a_fixed_step_makes_the_transform_calls_the_benchmark_counts(monkeypatch):
-    # bench/spans.py wraps fwd and inv in every qg3d module that holds them
-    # and reads the array from args[1]; bench/test_bench.py counts 16 inv
-    # and 4 fwd calls per step
+def wrap_transforms(monkeypatch):
+    """Wrap fwd and inv in every qg3d module that holds them, as
+    bench/spans.py does; returns the list the calls are appended to as
+    (name, args, kwargs)."""
     calls = []
     for name in ("fwd", "inv"):
         original = getattr(spectral, name)
@@ -73,6 +73,13 @@ def test_a_fixed_step_makes_the_transform_calls_the_benchmark_counts(monkeypatch
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, wrapper)
+    return calls
+
+
+def test_a_fixed_step_makes_the_transform_calls_the_benchmark_counts(monkeypatch):
+    # bench/spans.py reads the array from args[1]; bench/test_bench.py counts
+    # 16 inv and 4 fwd calls per step
+    calls = wrap_transforms(monkeypatch)
     state = make_random(GridSpec(16, 16, 16), -3.0, 1.0, 5, band=(2, 5))
     stepping.run(state, 1e-3, stepping.StepControl(mode="fixed", dt_fixed=1e-3))
     names = [name for name, _, _ in calls]
@@ -80,6 +87,24 @@ def test_a_fixed_step_makes_the_transform_calls_the_benchmark_counts(monkeypatch
     assert all(len(args) == 2 and isinstance(args[1], np.ndarray) for _, args, _ in calls)
     assert [kwargs for name, _, kwargs in calls if name == "fwd"] == [{"truncate": True}] * 4
     assert [kwargs for name, _, kwargs in calls if name == "inv"] == [{}] * 16
+
+
+def test_record_and_cfl_dt_make_the_inverse_transforms_the_benchmark_counts(monkeypatch):
+    # a traced benchmark round counts 19 inv calls per record and 2 per
+    # cfl_dt, each as (grid, array) with the array second
+    calls = wrap_transforms(monkeypatch)
+    state = make_random(GridSpec(16, 16, 16), -3.0, 1.0, 5, band=(2, 5))
+    for fn, args, count in (
+        (diagnostics.record, (state,), 19),
+        (stepping.cfl_dt, (state, stepping.StepControl()), 2),
+    ):
+        calls.clear()
+        fn(*args)
+        assert [name for name, _, _ in calls] == ["inv"] * count, fn.__name__
+        for _, inv_args, kwargs in calls:
+            assert kwargs == {}
+            assert len(inv_args) == 2 and inv_args[0] is state.grid
+            assert isinstance(inv_args[1], np.ndarray)
 
 
 def test_growth_check_takes_the_history_and_a_tolerance():

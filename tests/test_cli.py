@@ -162,7 +162,9 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line, section", [("physics.nu = nan", "physics"), ("time.dt = inf", "time")]
+    "line, section",
+    [("physics.nu = nan", "physics"), ("time.dt = inf", "time"), ("time.t_end = inf", "time"),
+     ("output.record_every = inf", "output"), ("output.snapshot_every = inf", "output")],
 )
 def test_non_finite_constants_exit_1(tmp_path, monkeypatch, capsys, line, section):
     # ROSSBY_16 runs at time.mode = fixed, so time.dt is the step it takes

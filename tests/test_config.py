@@ -89,7 +89,10 @@ def test_negative_viscosity_rejected():
     "text, section",
     [("physics.nu = nan", "physics"), ("physics.beta = inf", "physics"),
      ("physics.beta = nan", "physics"), ("physics.F = inf", "physics"),
-     ("time.mode = fixed\ntime.dt = inf", "time"), ("time.dt_max = inf", "time")],
+     ("time.mode = fixed\ntime.dt = inf", "time"), ("time.dt_max = inf", "time"),
+     ("time.t_end = inf", "time"), ("time.t_end = nan", "time"),
+     ("output.record_every = inf", "output"), ("output.snapshot_every = inf", "output"),
+     ("output.checkpoint_every = inf", "output"), ("output.snapshot_every = nan", "output")],
 )
 def test_non_finite_constants_rejected(text, section):
     with pytest.raises(ConfigValidationError, match=f"^{section}: "):

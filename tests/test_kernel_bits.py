@@ -1,12 +1,12 @@
 """The tendency path computes the same bits as its plain reference forms.
 
 ``jacobian_raw``, ``tendency_raw``, ``solve_stratified_poisson`` and the
-stage arithmetic of ``rk4_step`` work in place on precomputed multipliers,
-and ``jacobian_raw``, ``record`` and ``cfl_dt`` form the spectra they
-transform in a workspace kept per grid, where ``inv`` transforms them in
-place and skips the lines the two-thirds rule leaves empty; the Jacobian's
-derivative spectra hold only the two-thirds cube, and its forward transform
-computes only that cube.  The references
+stage arithmetic of ``rk4_step`` work in place on precomputed multipliers.
+``record`` and ``cfl_dt`` form the spectra they transform in a product
+buffer kept per grid, which ``inv`` leaves untouched.  The Jacobian's
+derivative spectra hold only the two-thirds cube, in a second kept array
+that ``inv`` transforms in place, skipping the lines the two-thirds rule
+leaves empty; its forward transform computes only that cube.  The references
 below are the straightforward array expressions they replace, with
 ``scipy.fft.irfftn`` as the inverse transform, kept as the specification:
 every result must match them byte for byte, not merely to a tolerance.
@@ -482,6 +482,22 @@ def test_inv_matches_irfftn(grid):
         out = inv(grid, ws)
         assert_same_bits(out, ref_inv(grid, c))
         assert not np.shares_memory(out, ws), name
+
+
+@pytest.mark.parametrize("grid", INV_GRIDS, ids=grid_id)
+def test_inv_leaves_every_array_but_the_cube_untouched(grid):
+    # only the cube array of cube_derivative is consumed; the workspace is a
+    # product buffer that still holds its spectrum after the call
+    ws = spectral._workspace(grid)
+    for name, c in inv_inputs(grid).items():
+        np.copyto(ws, c)
+        strided = np.asfortranarray(c)
+        for arg in (c, ws, strided):
+            kept = [a.copy() for a in (c, ws, strided)]
+            out = inv(grid, arg)
+            for a, before in zip((c, ws, strided), kept):
+                assert_same_bits(a, before)
+                assert not np.shares_memory(out, a), name
 
 
 def test_inv_prunes_exactly_the_lines_outside_the_cube():

@@ -232,3 +232,17 @@ def test_step_control_validation():
 def test_step_control_rejects_non_finite_steps(kwargs):
     with pytest.raises(ValueError):
         StepControl(**kwargs)
+
+
+@pytest.mark.parametrize("t_end", [np.inf, np.nan])
+def test_run_rejects_a_non_finite_t_end(t_end):
+    # with no observer to cut the steps, an infinite t_end ends the loop at once
+    state, _ = make_rossby(GridSpec(8, 8, 8), 1.0, 0.0, 1, 1, 1, 1.0)
+    with pytest.raises(ValueError, match="t_end"):
+        run(state, t_end, StepControl(mode="fixed", dt_fixed=1e-3))
+
+
+@pytest.mark.parametrize("every", [np.inf, np.nan, 0.0, -1.0])
+def test_observer_rejects_a_non_positive_or_non_finite_interval(every):
+    with pytest.raises(ValueError, match="observer interval"):
+        Observer(lambda s: None, every=every)
