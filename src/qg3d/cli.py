@@ -1,4 +1,7 @@
-"""Command-line front end: run, verify, converge, trace, plot, info.
+"""Command-line front end: run, verify, converge, plot, info.
+
+``run`` and ``verify`` share one run path; with ``lagrangian.enabled`` it
+also runs the particle tracer and writes ``particles.csv``.
 
 All human-readable output goes to standard error; files are the only data
 channel.  Exit codes: 0 success, 1 input/environment failure, 2 blow-up
@@ -80,10 +83,6 @@ def _build_parser() -> _Parser:
     p_conv = sub.add_parser("converge", help="temporal/spatial refinement study")
     p_conv.add_argument("config")
 
-    p_trace = sub.add_parser("trace", help="run with the particle tracer")
-    p_trace.add_argument("config")
-    p_trace.add_argument("--seed", type=int, default=None)
-
     p_plot = sub.add_parser("plot", help="render diagnostics CSV to SVG")
     p_plot.add_argument("csv")
     p_plot.add_argument("out")
@@ -138,20 +137,19 @@ def _evaluate_checks(cfg: RunConfig, history) -> list[CheckResult]:
 
 
 def _simulate(
-    cfg: RunConfig,
-    state: State,
-    out: Path,
-    tracer: TrajectoryTracer | None = None,
-    resumed_at: float | None = None,
+    cfg: RunConfig, state: State, out: Path, resumed_at: float | None = None
 ) -> tuple[State, list] | None:
-    """The run loop of ``run``, ``verify`` and ``trace``: records, snapshots,
-    checkpoints and (given one) the particle tracer, then the output files.
+    """The run loop of ``run`` and ``verify``: records, snapshots,
+    checkpoints and, with ``lagrangian.enabled``, the particle tracer, then
+    the output files.
 
     Snapshots are numbered from round(t0 / output.snapshot_every), so a run
     that starts at t0 > 0 does not overwrite the snapshots before t0.
     ``resumed_at`` is the start time of a restart: the CSV rows an earlier
-    run wrote before it are kept.  Returns the final state and the records,
-    or None after a blow-up, when only the partial CSVs are written.
+    run wrote before it are kept.  The tracer's particles start at rest at
+    t0, so after a restart ``particles.csv`` holds only this run's particles.
+    Returns the final state and the records, or None after a blow-up, when
+    only the partial CSVs are written.
     """
     history = []
     m = cfg.checks.sobolev_m
@@ -174,7 +172,12 @@ def _simulate(
                 every=cfg.output.checkpoint_every,
             )
         )
-    if tracer is not None:
+    tracer = None
+    if cfg.lagrangian.enabled:
+        sets = build_particle_sets(cfg, state.grid)
+        tracer = TrajectoryTracer(
+            sets, state.q_hat, beta=cfg.beta, sample_every=cfg.lagrangian.sample_every
+        )
         observers.append(Observer(tracer))
 
     try:
@@ -202,6 +205,8 @@ def _simulate(
     if tracer is not None:
         tracer.finalize()
         write_trajectories_csv(out / "particles.csv", tracer.samples)
+        _eprint(f"traced {cfg.lagrangian.particles} particles to t = {final.t:.6g}")
+        _eprint(f"max |duhamel residual| = {tracer.max_residual():.6e}")
     return final, history
 
 
@@ -263,26 +268,6 @@ def _cmd_converge(args) -> int:
     return 0 if (ratios_ok and spatial_ok) else 3
 
 
-def _cmd_trace(args) -> int:
-    cfg = _load_config(args.config, args.seed)
-    out = _output_dir(cfg)
-    state = build_initial_state(cfg)
-    tracer = TrajectoryTracer(
-        build_particle_sets(cfg, state.grid),
-        state.q_hat,
-        beta=cfg.beta,
-        sample_every=cfg.lagrangian.sample_every,
-    )
-    outcome = _simulate(cfg, state, out, tracer=tracer)
-    if outcome is None:
-        return 2
-    _eprint(
-        f"traced {sum(len(ps) for ps in tracer.sets)} particles to t = {outcome[0].t:.6g}"
-    )
-    _eprint(f"max |duhamel residual| = {tracer.max_residual():.6e}")
-    return 0
-
-
 def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
     with open(path, "r", encoding="ascii") as fh:
         lines = [line.strip() for line in fh if line.strip()]
@@ -341,7 +326,6 @@ _HANDLERS = {
     "run": _cmd_run,
     "verify": _cmd_verify,
     "converge": _cmd_converge,
-    "trace": _cmd_trace,
     "plot": _cmd_plot,
     "info": _cmd_info,
 }

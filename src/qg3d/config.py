@@ -218,6 +218,11 @@ def validate_config(cfg: RunConfig) -> None:
         fail(f"physics: {exc}")
     if cfg.ic.kind not in IC_KINDS:
         fail(f"ic.kind must be one of {IC_KINDS}, got {cfg.ic.kind!r}")
+    for key in ("ic.amplitude", "ic.slope", "ic.energy", "ic.width", "ic.center",
+                "ic.profile", "lagrangian.z_levels"):
+        value = getattr(*_owner(cfg, key))
+        if not np.all(np.isfinite(value)):
+            fail(f"{key}: must be finite, got {value!r}")
     if cfg.ic.kind == "gaussian_blob" and not cfg.ic.width > 0.0:
         fail("ic.width must be > 0")
     if cfg.ic.kind == "file" and not cfg.ic.path:

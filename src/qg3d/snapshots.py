@@ -127,7 +127,12 @@ def read_checkpoint(path) -> tuple[State, dict]:
     meta_path = checkpoint_meta_path(path)
     meta = {}
     if meta_path.exists():
-        meta = json.loads(meta_path.read_text(encoding="ascii"))
+        try:
+            meta = json.loads(meta_path.read_text(encoding="ascii"))
+        except ValueError as exc:  # not ASCII, or not JSON
+            raise SnapshotFormatError(f"{meta_path}: sidecar is not ASCII JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise SnapshotFormatError(f"{meta_path}: sidecar is a JSON {type(meta).__name__}")
         # the snapshot and its sidecar are two writes; a crash between them
         # leaves a sidecar that describes an older state
         if meta.get("time") != state.t:

@@ -14,6 +14,7 @@ import numpy as np
 
 import qg3d
 from qg3d import diagnostics, spectral, stepping
+from qg3d.config import parse_config
 from qg3d.diagnostics import check_growth_bounds
 from qg3d.grid import GridSpec
 from qg3d.initial import make_random
@@ -21,18 +22,45 @@ from qg3d.particles import TrajectoryTracer
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    module = importlib.util.module_from_spec(spec)
+def load_bench(path: Path):
+    """A module under bench/, imported as the benchmark imports it: with
+    bench/ on sys.path (workloads.py imports oracle) and no bytecode written
+    there.  sys.path and sys.modules are restored afterwards."""
+    saved_path, saved_modules = list(sys.path), dict(sys.modules)
+    sys.path.insert(0, str(path.parent))
     saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # read bench/ without writing a cache there
+    sys.dont_write_bytecode = True
     try:
+        spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up there
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = saved
+        sys.path[:] = saved_path
+        for name in set(sys.modules) - set(saved_modules):
+            del sys.modules[name]
     return module
+
+
+def test_benchmark_config_texts_parse():
+    # the attributes bench/workloads.py reads off the parsed config
+    workloads = load_bench(WORKLOADS)
+    for text in (workloads.TURBULENCE_CONFIG, workloads.CLI_CONFIG):
+        cfg = parse_config(text.format(seed=7))
+        assert cfg.ic.seed == 7
+        for value in (
+            cfg.nx, cfg.ny, cfg.nz, cfg.F, cfg.beta, cfg.time.dt, cfg.time.t_end,
+            cfg.time.cfl_number, cfg.time.dt_max, cfg.output.record_every,
+            cfg.output.snapshot_every, cfg.checks.tol_growth,
+        ):
+            assert isinstance(value, (int, float))
+        assert cfg.time.mode in ("fixed", "cfl")
+        assert cfg.checks.sobolev_m >= 1 and cfg.lagrangian.sample_every >= 1
+    assert parse_config(workloads.TURBULENCE_CONFIG.format(seed=7)).lagrangian.enabled
 
 
 def test_public_names_resolve():
@@ -41,7 +69,7 @@ def test_public_names_resolve():
 
 def test_benchmark_layer_functions_exist():
     missing = []
-    for span, (home, attr) in load_spans().LAYER_FUNCTIONS.items():
+    for span, (home, attr) in load_bench(SPANS).LAYER_FUNCTIONS.items():
         if not callable(getattr(importlib.import_module(home), attr, None)):
             missing.append(f"{span}: {home}.{attr}")
     assert missing == []

@@ -164,7 +164,12 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "line, section",
     [("physics.nu = nan", "physics"), ("time.dt = inf", "time"), ("time.t_end = inf", "time"),
-     ("output.record_every = inf", "output"), ("output.snapshot_every = inf", "output")],
+     ("output.record_every = inf", "output"), ("output.snapshot_every = inf", "output"),
+     ("ic.energy = inf", "ic.energy"), ("ic.center = nan, 1.0, 1.0", "ic.center"),
+     ("ic.slope = nan", "ic.slope"), ("ic.amplitude = inf", "ic.amplitude"),
+     ("ic.amplitude = nan", "ic.amplitude"), ("ic.width = inf", "ic.width"),
+     ("ic.profile = nan", "ic.profile"), ("lagrangian.z_levels = nan", "lagrangian.z_levels"),
+     ("lagrangian.z_levels = inf", "lagrangian.z_levels")],
 )
 def test_non_finite_constants_exit_1(tmp_path, monkeypatch, capsys, line, section):
     # ROSSBY_16 runs at time.mode = fixed, so time.dt is the step it takes
@@ -285,27 +290,103 @@ def test_converge_reports_orders_and_exits_zero(tmp_path, monkeypatch, capsys):
     assert "yes" in err
 
 
-def test_trace_emits_particle_csv(tmp_path, monkeypatch, capsys):
-    cfg = write_cfg(
-        tmp_path,
-        "grid.nx = 16\ngrid.ny = 16\ngrid.nz = 16\n"
-        "ic.kind = rossby\n"
-        "time.mode = fixed\ntime.dt = 1e-3\ntime.t_end = 0.02\n"
-        "output.record_every = 0.01\n"
-        "lagrangian.particles = 32\n"
-        "lagrangian.z_levels = 0.0, 3.141592653589793\n"
-        "lagrangian.sample_every = 10\n",
-    )
-    out = use_out(monkeypatch, tmp_path, "trace-out")
-    assert main(["trace", cfg]) == 0
-    err = capsys.readouterr().err
-    assert "max |duhamel residual|" in err
-    residual = float(err.rsplit("=", 1)[1])
-    assert residual < 1e-6
+TRACED_16 = """\
+grid.nx = 16
+grid.ny = 16
+grid.nz = 16
+ic.kind = rossby
+time.mode = fixed
+time.dt = 1e-3
+time.t_end = 0.02
+output.record_every = 0.01
+lagrangian.enabled = true
+lagrangian.particles = 32
+lagrangian.z_levels = 0.0, 3.141592653589793
+lagrangian.sample_every = 10
+"""
 
+
+def duhamel_residual(err):
+    """The residual the tracer reports on stderr."""
+    line = next(l for l in err.splitlines() if l.startswith("max |duhamel residual|"))
+    return float(line.rsplit("=", 1)[1])
+
+
+def particle_rows(out):
     lines = (out / "particles.csv").read_text().splitlines()
     assert lines[0] == "particle_id,t,x,y,z,integral,residual"
     assert len(lines) > 1 and (len(lines) - 1) % 32 == 0
+    return np.loadtxt(out / "particles.csv", delimiter=",", skiprows=1, ndmin=2)
+
+
+def test_run_with_lagrangian_enabled_emits_particle_csv(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, TRACED_16)
+    out = use_out(monkeypatch, tmp_path, "trace-out")
+    assert main(["run", cfg]) == 0
+    err = capsys.readouterr().err
+    assert "traced 32 particles to t = 0.02" in err
+    assert "PASS" in err and "FAIL" not in err
+    assert duhamel_residual(err) < 1e-6
+    particle_rows(out)
+
+
+def test_run_without_lagrangian_enabled_writes_no_particles(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, TRACED_16.replace("lagrangian.enabled = true\n", ""))
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["run", cfg]) == 0
+    assert "duhamel" not in capsys.readouterr().err
+    assert (out / "final.qg3d").exists()
+    assert not (out / "particles.csv").exists()
+
+
+def test_failed_check_with_the_tracer_exits_3_and_writes_particles(
+    tmp_path, monkeypatch, capsys
+):
+    cfg = write_cfg(tmp_path, TRACED_16 + "checks.tol_conservation = 1e-300\n")
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["run", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "FAIL" in err
+    assert duhamel_residual(err) < 1e-6
+    particle_rows(out)
+
+
+def test_trace_command_is_gone(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, TRACED_16)
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["trace", cfg]) == 64
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_with_lagrangian_enabled_emits_particle_csv(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, TRACED_16)
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["verify", cfg]) == 0
+    err = capsys.readouterr().err
+    assert "neutrality" in err
+    assert duhamel_residual(err) < 1e-6
+    particle_rows(out)
+
+
+def test_restart_with_the_tracer_seeds_particles_at_t0(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        TRACED_16.replace("time.t_end = 0.02", "time.t_end = 0.04")
+        + "output.snapshot_every = 0.02\n",
+    )
+    direct = use_out(monkeypatch, tmp_path, "direct")
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    out = use_out(monkeypatch, tmp_path, "restarted")
+    assert main(["run", cfg, "--restart", str(direct / "snapshot_00001.qg3d")]) == 0
+    err = capsys.readouterr().err
+    assert "restarting from t = 0.02" in err
+    assert duhamel_residual(err) < 1e-6
+    # 32 fresh particles, sampled once at t_end; none carries a time before t0
+    rows = particle_rows(out)
+    assert rows.shape[0] == 32 and np.all(rows[:, 1] > 0.02)
+    assert np.max(np.abs(rows[:, 6])) < 1e-6
 
 
 def test_plot_draws_one_polyline_per_selected_column(tmp_path, capsys):
@@ -417,6 +498,21 @@ def test_restart_into_its_own_directory_keeps_earlier_outputs(
         assert got.tobytes() == want.tobytes()
     # the 10 rows before t = 0.5 are the first run's, byte for byte
     assert (out / "diagnostics.csv").read_text().splitlines()[:11] == first_rows[:11]
+
+
+@pytest.mark.parametrize("sidecar", ["[]", '"x"', "{not json"])
+def test_restart_from_a_corrupt_sidecar_exits_1(tmp_path, monkeypatch, capsys, sidecar):
+    cfg = write_cfg(tmp_path, RANDOM_8)
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    meta = out / "checkpoint.qg3d.meta.json"
+    meta.write_text(sidecar, encoding="ascii")
+    use_out(monkeypatch, tmp_path, "restarted")
+    assert main(["run", cfg, "--restart", str(out / "checkpoint.qg3d")]) == 1
+    err = capsys.readouterr().err
+    assert f"qg3d run: error: {meta}: sidecar " in err
+    assert "Traceback" not in err
 
 
 def test_restart_grid_mismatch_exits_1(tmp_path, monkeypatch, capsys):

@@ -92,7 +92,15 @@ def test_negative_viscosity_rejected():
      ("time.mode = fixed\ntime.dt = inf", "time"), ("time.dt_max = inf", "time"),
      ("time.t_end = inf", "time"), ("time.t_end = nan", "time"),
      ("output.record_every = inf", "output"), ("output.snapshot_every = inf", "output"),
-     ("output.checkpoint_every = inf", "output"), ("output.snapshot_every = nan", "output")],
+     ("output.checkpoint_every = inf", "output"), ("output.snapshot_every = nan", "output"),
+     ("ic.energy = inf", "ic.energy"), ("ic.kind = random_spectrum\nic.slope = nan", "ic.slope"),
+     ("ic.amplitude = inf", "ic.amplitude"),
+     ("ic.kind = gaussian_blob\nic.amplitude = nan", "ic.amplitude"),
+     ("ic.kind = gaussian_blob\nic.center = nan, 1.0, 1.0", "ic.center"),
+     ("ic.kind = gaussian_blob\nic.width = nan", "ic.width"),
+     ("ic.kind = zonal\nic.profile = 1.0, nan, 0.0", "ic.profile"),
+     ("lagrangian.z_levels = nan", "lagrangian.z_levels"),
+     ("lagrangian.enabled = true\nlagrangian.z_levels = 0.0, inf", "lagrangian.z_levels")],
 )
 def test_non_finite_constants_rejected(text, section):
     with pytest.raises(ConfigValidationError, match=f"^{section}: "):

@@ -165,6 +165,22 @@ def test_checkpoint_sidecar(tmp_path):
     assert back.t == 1.0 and meta3 == {}
 
 
+@pytest.mark.parametrize(
+    "sidecar, reason",
+    [(b"[]", "a JSON list"), (b'"x"', "a JSON str"), (b"{not json", "not ASCII JSON"),
+     ('{"time": "\u00e9"}'.encode("utf-8"), "not ASCII JSON")],
+)
+def test_corrupt_sidecar_raises_format_error_naming_it(tmp_path, sidecar, reason):
+    path = tmp_path / "ck.qg3d"
+    write_checkpoint(sample_state(t=0.75), path, config_digest="ab" * 32)
+    meta_file = checkpoint_meta_path(path)
+    meta_file.write_bytes(sidecar)
+    with pytest.raises(SnapshotFormatError) as excinfo:
+        read_checkpoint(path)
+    assert str(excinfo.value).startswith(f"{meta_file}: ")
+    assert reason in str(excinfo.value)
+
+
 def test_written_files_follow_the_umask(tmp_path):
     path = tmp_path / "s.qg3d"
     saved = os.umask(0o027)
