@@ -66,6 +66,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer >= 0, as numpy's generators need."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qg3d", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qg3d {__version__}")
@@ -73,12 +80,12 @@ def _build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="simulate and emit diagnostics")
     p_run.add_argument("config")
-    p_run.add_argument("--seed", type=int, default=None, help="override ic.seed")
+    p_run.add_argument("--seed", type=_seed, default=None, help="override ic.seed")
     p_run.add_argument("--restart", default=None, help="checkpoint to resume from")
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument("config")
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=_seed, default=None)
 
     p_conv = sub.add_parser("converge", help="temporal/spatial refinement study")
     p_conv.add_argument("config")
@@ -105,8 +112,7 @@ def _load_config(path: str, seed=None) -> RunConfig:
 
 
 def _output_dir(cfg: RunConfig) -> Path:
-    directory = os.environ.get("QG3D_OUTPUT_DIR") or cfg.output.directory
-    out = Path(directory)
+    out = Path(os.environ.get("QG3D_OUTPUT_DIR") or cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -115,10 +121,9 @@ def _print_check_table(results: list[CheckResult]) -> None:
     name_w = max((len(r.name) for r in results), default=4)
     _eprint(f"{'check':<{name_w}}  {'lhs':>13} {'rhs':>13} {'slack':>13}  status")
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
         _eprint(
             f"{r.name:<{name_w}}  {r.bound_lhs:13.6e} {r.bound_rhs:13.6e} "
-            f"{r.slack:13.6e}  {status}"
+            f"{r.slack:13.6e}  {'PASS' if r.passed else 'FAIL'}"
         )
 
 
@@ -136,34 +141,34 @@ def _evaluate_checks(cfg: RunConfig, history) -> list[CheckResult]:
     return results
 
 
-def _simulate(
-    cfg: RunConfig, state: State, out: Path, resumed_at: float | None = None
-) -> tuple[State, list] | None:
+def _simulate(cfg: RunConfig, state: State, out: Path) -> tuple[State, list] | None:
     """The run loop of ``run`` and ``verify``: records, snapshots,
     checkpoints and, with ``lagrangian.enabled``, the particle tracer, then
     the output files.
 
-    Snapshots are numbered from round(t0 / output.snapshot_every), so a run
-    that starts at t0 > 0 does not overwrite the snapshots before t0.
-    ``resumed_at`` is the start time of a restart: the CSV rows an earlier
-    run wrote before it are kept.  The tracer's particles start at rest at
-    t0, so after a restart ``particles.csv`` holds only this run's particles.
+    One rule for every start time t0 = ``state.t``: the snapshot at
+    t = k * output.snapshot_every is ``snapshot_{k:05d}``, k = round(t /
+    every), and the start state is numbered only when t0 == k * every
+    exactly (an off-grid start is the run's input).  At t0 > 0 the rows of
+    existing CSVs with t < t0 are kept ahead of this run's.  The tracer's
+    particles start at rest at t0.
     Returns the final state and the records, or None after a blow-up, when
     only the partial CSVs are written.
     """
+    t0 = state.t
     history = []
     m = cfg.checks.sobolev_m
     observers = [
         Observer(lambda s: history.append(record(s, m)), every=cfg.output.record_every)
     ]
-    if cfg.output.snapshot_every > 0.0:
-        snap_index = [round(state.t / cfg.output.snapshot_every)]
-
+    every = cfg.output.snapshot_every
+    if every > 0.0:
         def write_numbered_snapshot(s: State) -> None:
-            write_snapshot(s, out / f"snapshot_{snap_index[0]:05d}.qg3d")
-            snap_index[0] += 1
+            k = round(s.t / every)
+            if s.t != t0 or k * every == t0:
+                write_snapshot(s, out / f"snapshot_{k:05d}.qg3d")
 
-        observers.append(Observer(write_numbered_snapshot, every=cfg.output.snapshot_every))
+        observers.append(Observer(write_numbered_snapshot, every=every))
     digest = config_digest(cfg)
     if cfg.output.checkpoint_every > 0.0:
         observers.append(
@@ -191,9 +196,9 @@ def _simulate(
             (out / "ratios.csv", lambda p: write_ratios_csv(p, monitor_ratios(history))),
         ):
             kept = []
-            if resumed_at is not None and path.is_file():
+            if t0 > 0.0 and path.is_file():
                 rows = path.read_text(encoding="ascii").splitlines()[1:]
-                kept = [row for row in rows if float(row.split(",", 1)[0]) < resumed_at]
+                kept = [row for row in rows if float(row.split(",", 1)[0]) < t0]
             write(path)
             if kept:
                 header, *rows = path.read_text(encoding="ascii").splitlines()
@@ -228,7 +233,7 @@ def _cmd_run(args) -> int:
         _eprint(f"restarting from t = {state.t:.6g}")
     else:
         state = build_initial_state(cfg)
-    outcome = _simulate(cfg, state, out, resumed_at=state.t if args.restart else None)
+    outcome = _simulate(cfg, state, out)
     if outcome is None:
         return 2
     final, history = outcome
@@ -339,17 +344,9 @@ def main(argv=None) -> int:
     handler = _HANDLERS[args.command]
     try:
         return handler(args)
-    except FileNotFoundError as exc:
-        _eprint(f"qg3d {args.command}: error: {exc}")
-        return 1
-    except ConfigError as exc:
-        _eprint(f"qg3d {args.command}: config error: {exc}")
-        return 1
-    except QGError as exc:
-        _eprint(f"qg3d {args.command}: error: {exc}")
-        return 1
-    except ValueError as exc:
-        _eprint(f"qg3d {args.command}: error: {exc}")
+    except (FileNotFoundError, QGError, ValueError) as exc:
+        label = "config error" if isinstance(exc, ConfigError) else "error"
+        _eprint(f"qg3d {args.command}: {label}: {exc}")
         return 1
 
 

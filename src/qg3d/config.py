@@ -223,6 +223,9 @@ def validate_config(cfg: RunConfig) -> None:
         value = getattr(*_owner(cfg, key))
         if not np.all(np.isfinite(value)):
             fail(f"{key}: must be finite, got {value!r}")
+    for key, seed in (("ic.seed", cfg.ic.seed), ("lagrangian.seed", cfg.lagrangian.seed)):
+        if seed < 0:  # numpy's generators take seeds >= 0
+            fail(f"{key}: must be >= 0, got {seed}")
     if cfg.ic.kind == "gaussian_blob" and not cfg.ic.width > 0.0:
         fail("ic.width must be > 0")
     if cfg.ic.kind == "file" and not cfg.ic.path:

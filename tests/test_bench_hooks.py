@@ -14,11 +14,13 @@ import numpy as np
 
 import qg3d
 from qg3d import diagnostics, spectral, stepping
+from qg3d.cli import main
 from qg3d.config import parse_config
 from qg3d.diagnostics import check_growth_bounds
 from qg3d.grid import GridSpec
 from qg3d.initial import make_random
 from qg3d.particles import TrajectoryTracer
+from qg3d.snapshots import read_snapshot
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
@@ -61,6 +63,25 @@ def test_benchmark_config_texts_parse():
         assert cfg.time.mode in ("fixed", "cfl")
         assert cfg.checks.sobolev_m >= 1 and cfg.lagrangian.sample_every >= 1
     assert parse_config(workloads.TURBULENCE_CONFIG.format(seed=7)).lagrangian.enabled
+
+
+def test_the_benchmark_restart_source_holds_t_half(tmp_path, monkeypatch, capsys):
+    # cli-restart-32 restarts from RESTART_FROM and expects t = 0.5 there;
+    # the same config at 8^3 pins the snapshot numbering it relies on
+    workloads = load_bench(WORKLOADS)
+    cfg = tmp_path / "run.cfg"
+    small = "grid.nx = 8\ngrid.ny = 8\ngrid.nz = 8\n"
+    cfg.write_text(workloads.CLI_CONFIG.format(seed=1) + small, encoding="ascii")
+    assert parse_config(cfg.read_text(encoding="ascii")).nx == 8
+    direct, restart = tmp_path / "direct", tmp_path / "restart"
+    monkeypatch.setenv("QG3D_OUTPUT_DIR", str(direct))
+    assert main(["run", str(cfg)]) == 0
+    assert read_snapshot(direct / workloads.RESTART_FROM).t == 0.5
+    monkeypatch.setenv("QG3D_OUTPUT_DIR", str(restart))
+    assert main(["run", str(cfg), "--restart", str(direct / workloads.RESTART_FROM)]) == 0
+    capsys.readouterr()
+    names = sorted(path.name for path in restart.glob("snapshot_*.qg3d"))
+    assert names == [f"snapshot_{k:05d}.qg3d" for k in (2, 3, 4)]
 
 
 def test_public_names_resolve():

@@ -78,6 +78,22 @@ time.t_end = 0.002
 output.record_every = 0.001
 """
 
+# the snapshot grid is k * 0.25; checkpoints fall on k * 0.1 and at t_end
+RANDOM_16 = """\
+grid.nx = 16
+grid.ny = 16
+grid.nz = 16
+ic.kind = random_spectrum
+ic.seed = 1
+ic.band_lo = 1
+ic.band_hi = 4
+time.mode = fixed
+time.dt = 0.01
+output.record_every = 0.05
+output.snapshot_every = 0.25
+output.checkpoint_every = 0.1
+"""
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -498,6 +514,93 @@ def test_restart_into_its_own_directory_keeps_earlier_outputs(
         assert got.tobytes() == want.tobytes()
     # the 10 rows before t = 0.5 are the first run's, byte for byte
     assert (out / "diagnostics.csv").read_text().splitlines()[:11] == first_rows[:11]
+
+
+def snapshot_times(out):
+    return {p.name: read_snapshot(p).t for p in sorted(out.glob("snapshot_*.qg3d"))}
+
+
+def test_restart_off_the_snapshot_grid_keeps_the_earlier_snapshots(
+    tmp_path, monkeypatch, capsys
+):
+    # the last checkpoint of the first run, t = 0.3, lies between two snapshots
+    first = write_cfg(tmp_path, RANDOM_16 + "time.t_end = 0.3\n", "first.cfg")
+    cfg = write_cfg(tmp_path, RANDOM_16 + "time.t_end = 1.0\n")
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["run", first]) == 0
+    assert main(["run", cfg, "--restart", str(out / "checkpoint.qg3d")]) == 0
+    assert "restarting from t = 0.3" in capsys.readouterr().err
+    assert snapshot_times(out) == {f"snapshot_{k:05d}.qg3d": k * 0.25 for k in range(5)}
+
+
+def test_restart_off_the_snapshot_grid_writes_the_direct_run_names(
+    tmp_path, monkeypatch, capsys
+):
+    first = write_cfg(tmp_path, RANDOM_16 + "time.t_end = 0.4\n", "first.cfg")
+    cfg = write_cfg(tmp_path, RANDOM_16 + "time.t_end = 1.0\n")
+    out = use_out(monkeypatch, tmp_path, "first")
+    assert main(["run", first]) == 0
+    fresh = use_out(monkeypatch, tmp_path, "fresh")
+    assert main(["run", cfg, "--restart", str(out / "checkpoint.qg3d")]) == 0
+    assert "restarting from t = 0.4" in capsys.readouterr().err
+    assert snapshot_times(fresh) == {
+        "snapshot_00002.qg3d": 0.5, "snapshot_00003.qg3d": 0.75, "snapshot_00004.qg3d": 1.0,
+    }
+
+
+def test_file_ic_continuation_keeps_the_earlier_csv_rows(tmp_path, monkeypatch, capsys):
+    # ic.kind = file at t0 > 0 follows the same rule as run --restart
+    cfg = write_cfg(tmp_path, RANDOM_16 + "time.t_end = 1.0\n")
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["run", cfg]) == 0
+    names = ("diagnostics.csv", "ratios.csv")
+    first = {name: (out / name).read_text().splitlines() for name in names}
+    file_ic = f"ic.kind = file\nic.path = {out / 'snapshot_00002.qg3d'}\ntime.t_end = 1.0\n"
+    assert main(["run", write_cfg(tmp_path, RANDOM_16 + file_ic, "file.cfg")]) == 0
+    capsys.readouterr()
+
+    assert snapshot_times(out) == {f"snapshot_{k:05d}.qg3d": k * 0.25 for k in range(5)}
+    for name, rows in first.items():
+        got = (out / name).read_text().splitlines()
+        assert len(got) == len(rows) == 22  # a header and 21 records
+        # the header and the 10 rows before t = 0.5 are the first run's, byte for byte
+        assert got[:11] == rows[:11]
+
+
+def test_run_from_t0_replaces_an_unparseable_csv(tmp_path, monkeypatch, capsys):
+    # old rows are read only when the run starts at t0 > 0
+    cfg = write_cfg(tmp_path, RANDOM_8)
+    out = use_out(monkeypatch, tmp_path, "out")
+    out.mkdir()
+    (out / "diagnostics.csv").write_text("not a csv\nx,y\n", encoding="ascii")
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    header, *rows = (out / "diagnostics.csv").read_text().splitlines()
+    assert header == ",".join(CSV_COLUMNS)
+    assert len(rows) == 3
+
+
+@pytest.mark.parametrize(
+    "lines, key",
+    [("ic.seed = -1", "ic.seed"),
+     ("lagrangian.enabled = true\nlagrangian.seed = -3", "lagrangian.seed")],
+)
+def test_negative_seed_exits_1_before_any_output(tmp_path, monkeypatch, capsys, lines, key):
+    cfg = write_cfg(tmp_path, RANDOM_8 + lines + "\n")
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["run", cfg]) == 1
+    assert f"qg3d run: config error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
+def test_seed_flag_must_be_a_non_negative_integer(tmp_path, monkeypatch, capsys, command, seed):
+    cfg = write_cfg(tmp_path, RANDOM_8)
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main([command, cfg, "--seed", seed]) == 64
+    assert "argument --seed: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sidecar", ["[]", '"x"', "{not json"])

@@ -107,6 +107,18 @@ def test_non_finite_constants_rejected(text, section):
         parse_config(text)
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [("ic.seed = -1", "ic.seed"), ("ic.kind = random_spectrum\nic.seed = -1", "ic.seed"),
+     ("lagrangian.seed = -3", "lagrangian.seed"),
+     ("lagrangian.enabled = true\nlagrangian.seed = -3", "lagrangian.seed")],
+)
+def test_negative_seeds_rejected(text, key):
+    # numpy's generators reject negative seeds with a message that names no key
+    with pytest.raises(ConfigValidationError, match=f"^{key}: must be >= 0, got -"):
+        parse_config(text)
+
+
 def test_invalid_invariants_rejected():
     for text in (
         "time.t_end = 0",
