@@ -149,13 +149,18 @@ def _simulate(cfg: RunConfig, state: State, out: Path) -> tuple[State, list] | N
     One rule for every start time t0 = ``state.t``: the snapshot at
     t = k * output.snapshot_every is ``snapshot_{k:05d}``, k = round(t /
     every), and the start state is numbered only when t0 == k * every
-    exactly (an off-grid start is the run's input).  At t0 > 0 the rows of
-    existing CSVs with t < t0 are kept ahead of this run's.  The tracer's
-    particles start at rest at t0.
+    exactly (an off-grid start is the run's input).  ``checkpoint.qg3d``
+    holds the state at each k * output.checkpoint_every between t0 and
+    t_end, and then the final state.  At t0 > 0 the rows of existing CSVs
+    with t < t0 are read before the first step and written ahead of this
+    run's.  The tracer's particles start at rest at t0.
     Returns the final state and the records, or None after a blow-up, when
     only the partial CSVs are written.
     """
-    t0 = state.t
+    t0, t_end = state.t, cfg.time.t_end
+    earlier = {name: [row for row in _read_csv(out / name)[1] if row[0] < t0]
+               for name in ("diagnostics.csv", "ratios.csv")
+               if t0 > 0.0 and (out / name).is_file()}
     history = []
     m = cfg.checks.sobolev_m
     observers = [
@@ -169,14 +174,13 @@ def _simulate(cfg: RunConfig, state: State, out: Path) -> tuple[State, list] | N
                 write_snapshot(s, out / f"snapshot_{k:05d}.qg3d")
 
         observers.append(Observer(write_numbered_snapshot, every=every))
-    digest = config_digest(cfg)
+    checkpoint, digest = out / "checkpoint.qg3d", config_digest(cfg)
     if cfg.output.checkpoint_every > 0.0:
-        observers.append(
-            Observer(
-                lambda s: write_checkpoint(s, out / "checkpoint.qg3d", digest),
-                every=cfg.output.checkpoint_every,
-            )
-        )
+        def write_event_checkpoint(s: State) -> None:
+            if t0 < s.t < t_end:
+                write_checkpoint(s, checkpoint, digest)
+
+        observers.append(Observer(write_event_checkpoint, every=cfg.output.checkpoint_every))
     tracer = None
     if cfg.lagrangian.enabled:
         sets = build_particle_sets(cfg, state.grid)
@@ -186,27 +190,19 @@ def _simulate(cfg: RunConfig, state: State, out: Path) -> tuple[State, list] | N
         observers.append(Observer(tracer))
 
     try:
-        final = run(state, cfg.time.t_end, step_control(cfg), observers=observers)
+        final = run(state, t_end, step_control(cfg), observers=observers)
     except NonFiniteError as exc:
         _eprint(f"blow-up: {exc} (last good checkpoint retained)")
         final = None
     if history:
-        for path, write in (
-            (out / "diagnostics.csv", lambda p: write_diagnostics_csv(p, history)),
-            (out / "ratios.csv", lambda p: write_ratios_csv(p, monitor_ratios(history))),
-        ):
-            kept = []
-            if t0 > 0.0 and path.is_file():
-                rows = path.read_text(encoding="ascii").splitlines()[1:]
-                kept = [row for row in rows if float(row.split(",", 1)[0]) < t0]
-            write(path)
-            if kept:
-                header, *rows = path.read_text(encoding="ascii").splitlines()
-                path.write_text("\n".join([header, *kept, *rows]) + "\n", encoding="ascii")
+        write_diagnostics_csv(out / "diagnostics.csv", history,
+                              earlier=earlier.get("diagnostics.csv", ()))
+        write_ratios_csv(out / "ratios.csv", monitor_ratios(history),
+                         earlier=earlier.get("ratios.csv", ()))
     if final is None:
         return None
     write_snapshot(final, out / "final.qg3d")
-    write_checkpoint(final, out / "checkpoint.qg3d", digest)
+    write_checkpoint(final, checkpoint, digest)
     if tracer is not None:
         tracer.finalize()
         write_trajectories_csv(out / "particles.csv", tracer.samples)
@@ -273,13 +269,18 @@ def _cmd_converge(args) -> int:
     return 0 if (ratios_ok and spatial_ok) else 3
 
 
-def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+def _read_csv(path) -> tuple[list[str], np.ndarray]:
+    """Header and rows of a CSV of numbers; QGError names a file that is
+    empty, not ASCII, not numbers, ragged or without rows."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [line.strip() for line in fh if line.strip()]
+        rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    except ValueError as exc:
+        raise QGError(f"{path}: {exc}") from None
     if not lines:
         raise QGError(f"{path}: empty CSV")
     header = [name.strip() for name in lines[0].split(",")]
-    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
     if not rows:
         raise QGError(f"{path}: no data rows")
     if any(len(row) != len(header) for row in rows):

@@ -430,20 +430,23 @@ def monitor_ratios(history: Sequence[DiagnosticsRecord]) -> RatioReport:
     return RatioReport(t=t, columns=columns)
 
 
-def write_diagnostics_csv(path, history: Sequence[DiagnosticsRecord]) -> None:
-    """One row per record, 17-significant-digit decimal, fixed header."""
-    lines = [",".join(CSV_COLUMNS)]
-    for r in history:
-        lines.append(",".join("%.17g" % getattr(r, c) for c in CSV_COLUMNS))
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
+    """The header, then one line per row of comma-joined ``%.17g`` fields
+    (17 significant digits give every float64 back exactly)."""
+    lines = [",".join(header)]
+    lines += (",".join("%.17g" % v for v in row) for row in rows)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_ratios_csv(path, report: RatioReport) -> None:
+def write_diagnostics_csv(path, history: Sequence[DiagnosticsRecord], *, earlier=()) -> None:
+    """One row per record, after the ``earlier`` rows of an interrupted run."""
+    rows = ([getattr(r, c) for c in CSV_COLUMNS] for r in history)
+    _write_csv(path, CSV_COLUMNS, [*earlier, *rows])
+
+
+def write_ratios_csv(path, report: RatioReport, *, earlier=()) -> None:
+    """One row per record time, after the ``earlier`` rows of an interrupted run."""
     names = list(report.columns.keys())
-    lines = [",".join(["t"] + names)]
-    for i, t in enumerate(report.t):
-        row = [t] + [report.columns[n][i] for n in names]
-        lines.append(",".join("%.17g" % v for v in row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = ([t] + [report.columns[n][i] for n in names] for i, t in enumerate(report.t))
+    _write_csv(path, ["t"] + names, [*earlier, *rows])

@@ -37,8 +37,8 @@ class GridSpec:
                 raise ValueError(f"{name} must be even when > 1, got {n}")
         for name in ("lx", "ly", "lz"):
             length = getattr(self, name)
-            if not length > 0.0:
-                raise ValueError(f"{name} must be positive, got {length!r}")
+            if not 0.0 < length < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {length!r}")
 
     # ---- shapes and cell geometry -------------------------------------
 

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .diagnostics import _write_csv
 from .grid import GridSpec
 from .spectral import SpectralField, solve_stratified_poisson
 from .stepping import State
@@ -263,20 +264,10 @@ class TrajectoryTracer:
 
 
 def write_trajectories_csv(path, samples: Sequence[TrajectorySample]) -> None:
-    lines = ["particle_id,t,x,y,z,integral,residual"]
-    for s in samples:
-        for i in range(s.positions.shape[0]):
-            lines.append(
-                "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
-                % (
-                    s.first_id + i,
-                    s.t,
-                    s.positions[i, 0],
-                    s.positions[i, 1],
-                    s.z_level,
-                    s.integrals[i],
-                    s.residuals[i],
-                )
-            )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (
+        (s.first_id + i, s.t, s.positions[i, 0], s.positions[i, 1], s.z_level,
+         s.integrals[i], s.residuals[i])
+        for s in samples
+        for i in range(s.positions.shape[0])
+    )
+    _write_csv(path, ("particle_id", "t", "x", "y", "z", "integral", "residual"), rows)

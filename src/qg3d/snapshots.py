@@ -66,11 +66,8 @@ def snapshot_bytes(state: State) -> bytes:
         state.params.nu,
         state.t,
     )
-    # A state that came straight from a file still carries its original
-    # samples; reusing them keeps read-then-write byte-identical, which a
-    # transform round trip alone cannot promise (it rounds).
-    q = getattr(state.q_hat, "_physical", None)
-    if q is None or q.shape != grid.shape:
+    q = state.q_hat.samples
+    if q is None:
         q = inv(grid, state.q_hat.coeffs)
     return header + np.ascontiguousarray(q, dtype="<f8").tobytes()
 
@@ -95,21 +92,16 @@ def read_snapshot(path) -> State:
         raise SnapshotFormatError(
             f"{path}: payload is {len(payload)} bytes, header promises {expected}"
         )
+    q = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(q)):
+        raise SnapshotFormatError(f"{path}: non-finite samples in payload")
     try:
         grid = GridSpec(nx=int(nx), ny=int(ny), nz=int(nz), lx=lx, ly=ly, lz=lz)
         params = PhysicsParams(beta=beta, nu=nu, F=F)
-        if not (np.isfinite(t) and t >= 0.0):
-            raise ValueError(f"time must be finite and >= 0, got {t}")
+        q = q.reshape(grid.shape)
+        return State(SpectralField(grid, fwd(grid, q), samples=q), t, params)
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: invalid header fields: {exc}") from None
-    q = np.frombuffer(payload, dtype="<f8").reshape(grid.shape).astype(np.float64)
-    if not np.all(np.isfinite(q)):
-        raise SnapshotFormatError(f"{path}: non-finite samples in payload")
-    field = SpectralField(grid, fwd(grid, q))
-    # Keep the exact file samples alongside the coefficients so writing this
-    # state back out reproduces the file byte for byte.
-    object.__setattr__(field, "_physical", q)
-    return State(field, t, params)
 
 
 def checkpoint_meta_path(path) -> Path:

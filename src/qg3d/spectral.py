@@ -22,7 +22,7 @@ transform, for results the two-thirds rule truncates anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -34,10 +34,14 @@ from .grid import GridSpec
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Half-spectrum coefficients, shape (nz, ny, nx // 2 + 1), complex128."""
+    """Half-spectrum coefficients, shape (nz, ny, nx // 2 + 1), complex128,
+    and the ``samples`` of the file they were read from, if any: writing
+    those back reproduces the file, which a transform round trip (it
+    rounds) cannot promise."""
 
     grid: GridSpec
     coeffs: np.ndarray
+    samples: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         c = self.coeffs
@@ -45,8 +49,12 @@ class SpectralField:
             raise ValueError(f"coeffs shape {c.shape} != grid kshape {self.grid.kshape}")
         if c.dtype != np.complex128:
             raise ValueError(f"coeffs must be complex128, got {c.dtype}")
+        q = self.samples
+        if q is not None and q.shape != self.grid.shape:
+            raise ValueError(f"samples shape {q.shape} != grid shape {self.grid.shape}")
 
     def copy(self) -> "SpectralField":
+        """New coefficients, free to change, so no ``samples``."""
         return SpectralField(self.grid, self.coeffs.copy())
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import qg3d
-from qg3d import diagnostics, spectral, stepping
+from qg3d import cli, diagnostics, spectral, stepping
 from qg3d.cli import main
 from qg3d.config import parse_config
 from qg3d.diagnostics import check_growth_bounds
@@ -82,6 +82,49 @@ def test_the_benchmark_restart_source_holds_t_half(tmp_path, monkeypatch, capsys
     capsys.readouterr()
     names = sorted(path.name for path in restart.glob("snapshot_*.qg3d"))
     assert names == [f"snapshot_{k:05d}.qg3d" for k in (2, 3, 4)]
+
+
+def test_a_cli_round_writes_each_state_file_once_per_event(tmp_path, monkeypatch, capsys):
+    # bench/spans.py counts snapshots.write.* from the spans of the names
+    # cli.py calls, write_snapshot and write_checkpoint; CLI_CONFIG at 8^3
+    # pins the sequence of a cli-restart-32 round
+    workloads = load_bench(WORKLOADS)
+    writes = []
+    for name in ("write_snapshot", "write_checkpoint"):
+        original = getattr(cli, name)
+
+        def wrapper(state, path, *args, _name=name, _original=original):
+            writes.append((_name, Path(path).name, state.t))
+            return _original(state, path, *args)
+
+        monkeypatch.setattr(cli, name, wrapper)
+    cfg = tmp_path / "run.cfg"
+    small = "grid.nx = 8\ngrid.ny = 8\ngrid.nz = 8\n"
+    cfg.write_text(workloads.CLI_CONFIG.format(seed=1) + small, encoding="ascii")
+    direct, restart = tmp_path / "direct", tmp_path / "restart"
+
+    def snapshot(k, t):
+        return ("write_snapshot", f"snapshot_{k:05d}.qg3d", t)
+
+    def checkpoint(t):
+        return ("write_checkpoint", "checkpoint.qg3d", t)
+
+    end = [("write_snapshot", "final.qg3d", 1.0), checkpoint(1.0)]
+    for argv, out, expected in (
+        ([], direct, [snapshot(0, 0.0), snapshot(1, 0.25), checkpoint(0.25),
+                      snapshot(2, 0.5), checkpoint(0.5), snapshot(3, 0.75), checkpoint(0.75),
+                      snapshot(4, 1.0), *end]),
+        (["--restart", str(direct / workloads.RESTART_FROM)], restart,
+         [snapshot(2, 0.5), snapshot(3, 0.75), checkpoint(0.75), snapshot(4, 1.0), *end]),
+    ):
+        writes.clear()
+        monkeypatch.setenv("QG3D_OUTPUT_DIR", str(out))
+        assert main(["run", str(cfg), *argv]) == 0
+        assert writes == expected
+        # no state file reaches the disk past the counted names
+        assert sorted(p.name for p in out.glob("*.qg3d")) == sorted({w[1] for w in writes})
+        assert (out / "checkpoint.qg3d.meta.json").is_file()
+    capsys.readouterr()
 
 
 def test_public_names_resolve():

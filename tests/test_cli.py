@@ -185,7 +185,8 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
      ("ic.slope = nan", "ic.slope"), ("ic.amplitude = inf", "ic.amplitude"),
      ("ic.amplitude = nan", "ic.amplitude"), ("ic.width = inf", "ic.width"),
      ("ic.profile = nan", "ic.profile"), ("lagrangian.z_levels = nan", "lagrangian.z_levels"),
-     ("lagrangian.z_levels = inf", "lagrangian.z_levels")],
+     ("lagrangian.z_levels = inf", "lagrangian.z_levels"), ("grid.lx = inf", "grid"),
+     ("grid.lz = inf", "grid")],
 )
 def test_non_finite_constants_exit_1(tmp_path, monkeypatch, capsys, line, section):
     # ROSSBY_16 runs at time.mode = fixed, so time.dt is the step it takes
@@ -565,6 +566,41 @@ def test_file_ic_continuation_keeps_the_earlier_csv_rows(tmp_path, monkeypatch, 
         assert len(got) == len(rows) == 22  # a header and 21 records
         # the header and the 10 rows before t = 0.5 are the first run's, byte for byte
         assert got[:11] == rows[:11]
+
+
+def test_restart_from_a_snapshot_rewrites_it_byte_for_byte(tmp_path, monkeypatch, capsys):
+    # the start state keeps the file's samples through config.adopt_state
+    cfg = write_cfg(tmp_path, RANDOM_16 + "time.t_end = 1.0\ngrid.nx = 8\ngrid.ny = 8\n")
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["run", cfg]) == 0
+    source = out / "snapshot_00002.qg3d"
+    fresh = use_out(monkeypatch, tmp_path, "fresh")
+    assert main(["run", cfg, "--restart", str(source)]) == 0
+    capsys.readouterr()
+    assert (fresh / "snapshot_00002.qg3d").read_bytes() == source.read_bytes()
+
+
+def test_restart_with_a_malformed_earlier_csv_exits_1_before_any_step(
+    tmp_path, monkeypatch, capsys
+):
+    cfg = write_cfg(tmp_path, RANDOM_16 + "time.t_end = 1.0\ngrid.nx = 8\ngrid.ny = 8\n")
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    csv = out / "diagnostics.csv"
+    csv.write_text(csv.read_text(encoding="ascii") + "garbage\n", encoding="ascii")
+
+    def files():
+        return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+                for p in sorted(out.iterdir())}
+
+    before = files()
+    assert main(["run", cfg, "--restart", str(out / "snapshot_00002.qg3d")]) == 1
+    err = capsys.readouterr().err
+    assert f"qg3d run: error: {csv}: " in err and "garbage" in err
+    assert "restarting from t = 0.5" in err and "run complete" not in err
+    # no file of the earlier run was rewritten, snapshot_00003 and 00004 included
+    assert files() == before
 
 
 def test_run_from_t0_replaces_an_unparseable_csv(tmp_path, monkeypatch, capsys):

@@ -100,7 +100,8 @@ def test_negative_viscosity_rejected():
      ("ic.kind = gaussian_blob\nic.width = nan", "ic.width"),
      ("ic.kind = zonal\nic.profile = 1.0, nan, 0.0", "ic.profile"),
      ("lagrangian.z_levels = nan", "lagrangian.z_levels"),
-     ("lagrangian.enabled = true\nlagrangian.z_levels = 0.0, inf", "lagrangian.z_levels")],
+     ("lagrangian.enabled = true\nlagrangian.z_levels = 0.0, inf", "lagrangian.z_levels"),
+     ("grid.lx = inf", "grid"), ("grid.ly = inf", "grid"), ("grid.lz = inf", "grid")],
 )
 def test_non_finite_constants_rejected(text, section):
     with pytest.raises(ConfigValidationError, match=f"^{section}: "):

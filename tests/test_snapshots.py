@@ -130,12 +130,14 @@ def test_nonfinite_payload_rejected(tmp_path):
         read_snapshot(path)
 
 
-@pytest.mark.parametrize("name", ["beta", "nu", "F"])
+@pytest.mark.parametrize("name", ["beta", "nu", "F", "lx", "ly", "lz"])
 def test_non_finite_header_constant_rejected(tmp_path, name):
     blob = bytearray(snapshot_bytes(sample_state()))
     # header: magic, version, nx, ny, nz, lx, ly, lz, F, beta, nu, t
-    offset = struct.calcsize("<4sI3Q3d") + 8 * ("F", "beta", "nu").index(name)
-    blob[offset : offset + 8] = struct.pack("<d", np.nan)
+    offset = struct.calcsize("<4sI3Q") + 8 * ("lx", "ly", "lz", "F", "beta", "nu").index(name)
+    # a NaN length was always refused; an infinite one is the box length's case
+    value = np.inf if name.startswith("l") else np.nan
+    blob[offset : offset + 8] = struct.pack("<d", value)
     path = tmp_path / "nan.qg3d"
     path.write_bytes(bytes(blob))
     with pytest.raises(SnapshotFormatError, match=name):

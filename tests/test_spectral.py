@@ -236,3 +236,16 @@ def test_field_wrappers_validate():
     with pytest.raises(GridMismatchError):
         inner_product(fh, gh)
 
+
+
+def test_samples_must_have_the_grid_shape_and_do_not_survive_a_copy():
+    grid = GridSpec(8, 4, 2)
+    q = random_field(grid)
+    field = SpectralField(grid, fwd(grid, q), samples=q)
+    assert field.samples is q
+    with pytest.raises(ValueError, match="samples shape"):
+        SpectralField(grid, fwd(grid, q), samples=q.T)
+    with pytest.raises(ValueError, match="samples shape"):
+        SpectralField(grid, fwd(grid, q), samples=q.ravel())
+    # the copy's coefficients may change, so it keeps no samples
+    assert field.copy().samples is None
