@@ -5,8 +5,8 @@ also runs the particle tracer and writes ``particles.csv``.
 
 All human-readable output goes to standard error; files are the only data
 channel.  Exit codes: 0 success, 1 input/environment failure, 2 blow-up
-(non-finite state, last good checkpoint retained), 3 a verification check
-failed, 64 usage errors.
+(non-finite state; the last event checkpoint, if one was written, is kept),
+3 a verification check failed, 64 usage errors.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .config import (
     step_control,
 )
 from .diagnostics import (
+    CSV_COLUMNS,
     SPATIAL_FLOOR_TOL,
     TEMPORAL_DTS,
     TEMPORAL_RATIO_RANGE,
@@ -50,7 +51,6 @@ from .diagnostics import (
 from .errors import ConfigError, NonFiniteError, QGError
 from .particles import TrajectoryTracer, write_trajectories_csv
 from .snapshots import read_checkpoint, read_snapshot, write_checkpoint, write_snapshot
-from .spectral import SpectralField
 from .stepping import Observer, State, run
 from .svgplot import render_line_plot
 
@@ -152,15 +152,21 @@ def _simulate(cfg: RunConfig, state: State, out: Path) -> tuple[State, list] | N
     exactly (an off-grid start is the run's input).  ``checkpoint.qg3d``
     holds the state at each k * output.checkpoint_every between t0 and
     t_end, and then the final state.  At t0 > 0 the rows of existing CSVs
-    with t < t0 are read before the first step and written ahead of this
-    run's.  The tracer's particles start at rest at t0.
+    with t < t0 are read before the first step, from files whose header is
+    this run's, and written ahead of this run's.  The tracer's particles
+    start at rest at t0.
     Returns the final state and the records, or None after a blow-up, when
     only the partial CSVs are written.
     """
     t0, t_end = state.t, cfg.time.t_end
-    earlier = {name: [row for row in _read_csv(out / name)[1] if row[0] < t0]
-               for name in ("diagnostics.csv", "ratios.csv")
-               if t0 > 0.0 and (out / name).is_file()}
+    earlier = {}
+    for name, header in (("diagnostics.csv", list(CSV_COLUMNS)),
+                         ("ratios.csv", ["t", *monitor_ratios(()).columns])):
+        if t0 > 0.0 and (out / name).is_file():
+            found, rows = _read_csv(out / name)
+            if found != header:
+                raise QGError(f"{out / name}: header is not {','.join(header)}")
+            earlier[name] = [row for row in rows if row[0] < t0]
     history = []
     m = cfg.checks.sobolev_m
     observers = [
@@ -175,10 +181,12 @@ def _simulate(cfg: RunConfig, state: State, out: Path) -> tuple[State, list] | N
 
         observers.append(Observer(write_numbered_snapshot, every=every))
     checkpoint, digest = out / "checkpoint.qg3d", config_digest(cfg)
+    checkpointed = []
     if cfg.output.checkpoint_every > 0.0:
         def write_event_checkpoint(s: State) -> None:
             if t0 < s.t < t_end:
                 write_checkpoint(s, checkpoint, digest)
+                checkpointed.append(s.t)
 
         observers.append(Observer(write_event_checkpoint, every=cfg.output.checkpoint_every))
     tracer = None
@@ -192,7 +200,8 @@ def _simulate(cfg: RunConfig, state: State, out: Path) -> tuple[State, list] | N
     try:
         final = run(state, t_end, step_control(cfg), observers=observers)
     except NonFiniteError as exc:
-        _eprint(f"blow-up: {exc} (last good checkpoint retained)")
+        kept = "last good checkpoint retained" if checkpointed else "no checkpoint written"
+        _eprint(f"blow-up: {exc} ({kept})")
         final = None
     if history:
         write_diagnostics_csv(out / "diagnostics.csv", history,
@@ -317,11 +326,9 @@ def _cmd_info(args) -> int:
     _eprint(f"grid:      {grid.nx} x {grid.ny} x {grid.nz}")
     _eprint(f"box:       {grid.lx:.6g} x {grid.ly:.6g} x {grid.lz:.6g}")
     _eprint(f"F = {p.F:.6g}  beta = {p.beta:.6g}  nu = {p.nu:.6g}  t = {state.t:.6g}")
-    coeffs = state.q_hat.coeffs
-    _eprint(f"mean(q) = {coeffs[0, 0, 0].real:.3e}")
-    projected = coeffs.copy()
-    projected[0, 0, 0] = 0.0
-    norms = record(State(SpectralField(grid, projected), state.t, p))
+    # the read state has zero mean; the file's own mean is in its samples
+    _eprint(f"mean(q) = {np.mean(state.q_hat.samples):.3e}")
+    norms = record(state)
     _eprint(f"||q||_L2 = {norms.q_l2:.9e}")
     _eprint(f"||q||_Linf = {norms.q_linf:.9e}")
     _eprint(f"||v||_L2 = {norms.v_l2:.9e}")

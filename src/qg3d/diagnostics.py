@@ -22,7 +22,9 @@ from .grid import GridSpec
 from .initial import make_rossby
 from .spectral import (
     SpectralField,
-    _workspace,
+    _in_cube,
+    _workspace_derivative,
+    cube_derivative,
     fwd,
     inner_product,
     inv,
@@ -104,50 +106,48 @@ class CheckResult:
 
 
 def _lp_raw(cell_volume: float, values: np.ndarray, p: float) -> float:
-    if p == math.inf or p == np.inf:
-        return float(np.max(np.abs(values))) if values.size else 0.0
-    if p < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    # |f|^p can overflow on a diverging state; inf is the right saturation
-    powers = np.abs(values)
-    with np.errstate(over="ignore"):
-        # the in-place operator takes the same exponent fast paths as ``**``
-        powers **= p
-        return float((np.sum(powers) * cell_volume) ** (1.0 / p))
+    return _norms(cell_volume, values, p)[0]
 
 
 def _norms(cell_volume: float, values: np.ndarray, *ps: float) -> list[float]:
-    return [_lp_raw(cell_volume, values, p) for p in ps]
+    """The Lp norms of the grid values for each p (>= 1 or inf), from one
+    array of |values|."""
+    magnitude = np.abs(values)
+    out = []
+    for p in ps:
+        if p == math.inf:
+            out.append(float(np.max(magnitude)) if magnitude.size else 0.0)
+            continue
+        if p < 1:
+            raise ValueError(f"p must be >= 1 or inf, got {p}")
+        # |f|^p can overflow on a diverging state; inf is the right saturation
+        with np.errstate(over="ignore"):
+            out.append(float((np.sum(magnitude ** p) * cell_volume) ** (1.0 / p)))
+    return out
 
 
-def _gradient_magnitude(fh: SpectralField) -> np.ndarray:
+def _gradient_magnitude(grid: GridSpec, spectrum, coeffs: np.ndarray) -> np.ndarray:
     """|grad f| = sqrt(fx * fx + fy * fy + fz * fz) on the grid."""
-    g = fh.grid
-    ws = _workspace(g)
-    out = inv(g, np.multiply(fh.coeffs, g.ikx, out=ws))
+    out = inv(grid, spectrum(grid, coeffs, "x"))
     out *= out
-    for mult in (g.iky, g.ikz):
-        comp = inv(g, np.multiply(fh.coeffs, mult, out=ws))
+    for axis in "yz":
+        comp = inv(grid, spectrum(grid, coeffs, axis))
         comp *= comp
         out += comp
     return np.sqrt(out, out=out)
 
 
-def _hessian_magnitude(fh: SpectralField) -> np.ndarray:
+def _hessian_magnitude(grid: GridSpec, spectrum, coeffs: np.ndarray) -> np.ndarray:
     """Frobenius norm of the Hessian on the grid, off-diagonal entries
     counted twice."""
-    g = fh.grid
-    ws = _workspace(g)
-    h2 = np.zeros(g.shape)
-    term = np.empty(g.shape)
-    for m1, m2, mult in (
-        (g.ikx, g.ikx, 1.0), (g.iky, g.iky, 1.0), (g.ikz, g.ikz, 1.0),
-        (g.ikx, g.iky, 2.0), (g.ikx, g.ikz, 2.0), (g.iky, g.ikz, 2.0),
+    h2 = np.zeros(grid.shape)
+    term = np.empty(grid.shape)
+    for ax1, ax2, mult in (
+        ("x", "x", 1.0), ("y", "y", 1.0), ("z", "z", 1.0),
+        ("x", "y", 2.0), ("x", "z", 2.0), ("y", "z", 2.0),
     ):
         # the operand order of derivative(derivative(fh, ax1), ax2)
-        np.multiply(fh.coeffs, m1, out=ws)
-        ws *= m2
-        comp = inv(g, ws)
+        comp = inv(grid, spectrum(grid, coeffs, ax1, ax2))
         # h2 += mult * comp * comp, without its two temporaries
         np.multiply(mult, comp, out=term)
         term *= comp
@@ -162,31 +162,36 @@ def record(state: State, m: int = 4) -> DiagnosticsRecord:
     and the velocity in H^m.  Each field on the grid is reduced to its norms
     and dropped before the next one is formed, and squares are taken in
     place, so few grid arrays are alive at a time.
+
+    If the scalar lies inside the two-thirds cube, so does every spectrum
+    derived from it, and the 19 spectra are formed in the cube array, which
+    ``inv`` prunes, with the bits of the full products; otherwise they are
+    formed in the workspace.
     """
     grid = state.grid
     q_hat = state.q_hat
     F = state.params.F
     dv = grid.cell_volume
-    psi_hat = solve_stratified_poisson(q_hat, F)
-    ws = _workspace(grid)
+    psi = solve_stratified_poisson(q_hat, F).coeffs
+    spectrum = cube_derivative if _in_cube(grid, q_hat.coeffs) else _workspace_derivative
 
-    def velocity(mult):
+    def velocity(axis):
         # H^m norm and grid values of a velocity component, up to sign: v1 =
         # -psi_y enters only squared
-        np.multiply(psi_hat.coeffs, mult, out=ws)
-        return sobolev_norm(SpectralField(grid, ws), m), inv(grid, ws)
+        vh = spectrum(grid, psi, axis)
+        return sobolev_norm(SpectralField(grid, vh), m), inv(grid, vh)
 
-    q_l2, q_l4, q_l6, q_linf = _norms(dv, inv(grid, q_hat.coeffs), 2, 4, 6, math.inf)
+    q_l2, q_l4, q_l6, q_linf = _norms(dv, inv(grid, spectrum(grid, q_hat.coeffs)), 2, 4, 6, math.inf)
 
-    hm_v2, v2 = velocity(grid.ikx)
+    hm_v2, v2 = velocity("x")
     v2_l6, v2_linf = _norms(dv, v2, 6, math.inf)
     # |v|^2 = (v1 * v1 + v2 * v2) + v3 * v3, each square formed in place
-    hm_v1, vh_sq = velocity(grid.iky)
+    hm_v1, vh_sq = velocity("y")
     vh_sq *= vh_sq
     v2 *= v2
     vh_sq += v2
     del v2
-    hm_v3, v3_sq = velocity(grid.ikz)
+    hm_v3, v3_sq = velocity("z")
     v3_sq *= v3_sq
     vmag = np.add(vh_sq, v3_sq)
     v_linf = _lp_raw(dv, np.sqrt(vmag, out=vmag), math.inf)
@@ -198,12 +203,12 @@ def record(state: State, m: int = 4) -> DiagnosticsRecord:
     v_l2 = _lp_raw(dv, np.sqrt(vh_sq, out=vh_sq), 2)
     del vh_sq
 
-    dq_l2, dq_l3, dq_l4 = _norms(dv, _gradient_magnitude(q_hat), 2, 3, 4)
-    d2q_l3 = _lp_raw(dv, _hessian_magnitude(q_hat), 3)
+    dq_l2, dq_l3, dq_l4 = _norms(dv, _gradient_magnitude(grid, spectrum, q_hat.coeffs), 2, 3, 4)
+    d2q_l3 = _lp_raw(dv, _hessian_magnitude(grid, spectrum, q_hat.coeffs), 3)
     # v = (-psi_y, psi_x, psi_z), so the sum of (d_j v_i)^2 over all nine
     # entries is the Hessian of psi with the off-diagonal entries twice
     grad_v_linf, grad_v_l2, grad_v_l4, grad_v_l6 = _norms(
-        dv, _hessian_magnitude(psi_hat), math.inf, 2, 4, 6
+        dv, _hessian_magnitude(grid, spectrum, psi), math.inf, 2, 4, 6
     )
 
     return DiagnosticsRecord(

@@ -69,7 +69,9 @@ class Forcing:
 NO_FORCING = Forcing()
 
 
-def jacobian_raw(grid: GridSpec, psi_c: np.ndarray, q_c: np.ndarray) -> np.ndarray:
+def jacobian_raw(
+    grid: GridSpec, psi_c: np.ndarray, q_c: np.ndarray, *, maxima: Optional[list] = None
+) -> np.ndarray:
     """Dealiased pseudo-spectral J(psi, q) = psi_x q_y - psi_y q_x, raw arrays.
 
     Inputs are truncated to the two-thirds cube as they are differentiated,
@@ -83,9 +85,15 @@ def jacobian_raw(grid: GridSpec, psi_c: np.ndarray, q_c: np.ndarray) -> np.ndarr
     ``inv`` skips its zero test.  The truncation comes from the block
     restriction, by the grid's own ``dealias_mask``: full-spectrum inputs
     are truncated too.
+
+    With a ``maxima`` list, max|psi_y| and max|psi_x| on the grid are
+    appended to it: the velocity maxima of the CFL bound, exact when psi
+    lies inside the cube.
     """
     psi_x = inv(grid, cube_derivative(grid, psi_c, "x"))
     psi_y = inv(grid, cube_derivative(grid, psi_c, "y"))
+    if maxima is not None:
+        maxima += (float(np.max(np.abs(psi_y))), float(np.max(np.abs(psi_x))))
     q_x = inv(grid, cube_derivative(grid, q_c, "x"))
     q_y = inv(grid, cube_derivative(grid, q_c, "y"))
     psi_x *= q_y
@@ -102,11 +110,17 @@ def tendency_raw(
     t: float,
     params: PhysicsParams,
     forcing: Forcing = NO_FORCING,
+    *,
+    maxima: Optional[list] = None,
 ) -> np.ndarray:
     """dq/dt coefficients without the viscous term: the time integrator
-    applies the stiff diffusion exactly, through an integrating factor."""
+    applies the stiff diffusion exactly, through an integrating factor.
+    ``maxima`` is handed to ``jacobian_raw``."""
     psi_c = solve_stratified_poisson(SpectralField(grid, q_c), params.F).coeffs
-    out = jacobian_raw(grid, psi_c, q_c)
+    if maxima is None:
+        out = jacobian_raw(grid, psi_c, q_c)
+    else:
+        out = jacobian_raw(grid, psi_c, q_c, maxima=maxima)
     # negating the float64 view flips the same sign bits as a complex negate,
     # at a fraction of its cost
     np.negative(out.view(np.float64), out=out.view(np.float64))

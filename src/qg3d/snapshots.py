@@ -5,7 +5,9 @@ mode counts as u64, then box lengths, stratification ratio, beta, nu and
 time as f64), followed by the scalar in physical space as f64 with x
 varying fastest.  Checkpoints are snapshots plus a JSON sidecar carrying
 the integrator time and a config digest.  All writes go through a
-temporary file and an atomic rename.
+temporary file and an atomic rename.  A read state holds the two-thirds
+cube of the samples' transform, with zero mean, and keeps the samples, which
+a write of it puts back unchanged.
 """
 
 from __future__ import annotations
@@ -99,7 +101,11 @@ def read_snapshot(path) -> State:
         grid = GridSpec(nx=int(nx), ny=int(ny), nz=int(nz), lx=lx, ly=ly, lz=lz)
         params = PhysicsParams(beta=beta, nu=nu, F=F)
         q = q.reshape(grid.shape)
-        return State(SpectralField(grid, fwd(grid, q), samples=q), t, params)
+        # a valid state: inside the two-thirds cube and of zero mean; the
+        # file's samples are kept, so writing the state back reproduces it
+        coeffs = fwd(grid, q, truncate=True)
+        coeffs[0, 0, 0] = 0.0
+        return State(SpectralField(grid, coeffs, samples=q), t, params)
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: invalid header fields: {exc}") from None
 

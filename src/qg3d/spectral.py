@@ -8,13 +8,16 @@ coefficient of a transformed field is exactly its box mean.
 Two half spectra are kept per grid.  Neither leaves the function that fills
 it:
 
-- ``_workspace(grid)`` is a product buffer for short-lived spectra: the
-  diagnostics and the CFL bound form the spectra they transform in it.
-  ``inv`` reads it like any other array and leaves it as it was.
+- ``_workspace(grid)`` is a product buffer for short-lived spectra:
+  ``_workspace_derivative`` forms in it the spectra the CFL bound, and the
+  diagnostics of a state with coefficients outside the two-thirds cube,
+  transform.  ``inv`` reads it like any other array and leaves it as it was.
 - the cube array of ``cube_derivative`` holds the Jacobian's derivative
-  spectra and is +0.0 outside the two-thirds cube by construction.  Only
-  ``inv`` reads it; it transforms the array in place and skips the lines
-  the two-thirds rule leaves empty, so its contents do not survive the call.
+  spectra, and the diagnostics' spectra of a state inside the cube
+  (``_in_cube``), and is +0.0 outside the two-thirds cube by construction.
+  ``inv`` transforms the array in place and skips the lines the two-thirds
+  rule leaves empty, so its contents do not survive the call; a norm of
+  the spectrum is taken before it.
 
 ``fwd(..., truncate=True)`` computes only the kept cube of the forward
 transform, for results the two-thirds rule truncates anyway.
@@ -112,24 +115,53 @@ def inv(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     return sfft.irfft(ws, n=grid.nx, axis=2, norm="forward")
 
 
-def cube_derivative(grid: GridSpec, coeffs: np.ndarray, axis: str) -> np.ndarray:
-    """x or y derivative of ``coeffs`` truncated to the two-thirds cube,
-    formed in the grid's cube array, which only ``inv`` may read.
+def cube_derivative(grid: GridSpec, coeffs: np.ndarray, *axes: str) -> np.ndarray:
+    """The product of ``coeffs`` with the derivative multipliers of ``axes``
+    (each "x", "y" or "z"; none gives ``coeffs`` itself), truncated to the
+    two-thirds cube and formed in the grid's cube array, for ``inv``.
 
     The products are formed only in the kept (z range x y range) blocks of
     the first kx columns, 8/27 of the array; everything else holds +0.0.
     The last ``inv`` of the array filled only the dropped y rows and z
     planes of those columns, so only they are zeroed again.  A kept
-    coefficient has the bits of the full product ``coeffs * grid.ik<axis>``.
+    coefficient has the bits of the full product ``coeffs * grid.ik<a> *
+    grid.ik<b> ...``, multiplied in the order of ``axes``.
     """
     bounds = grid.dealias_bounds
     zlo, zhi, lo, hi, kx = bounds
     ws, blocks = _cube(grid, bounds)
     ws[:, lo:hi, :kx] = 0.0
     ws[zlo:zhi, :, :kx] = 0.0
-    for block, ikx, iky in blocks:
-        np.multiply(coeffs[block], ikx if axis == "x" else iky, out=ws[block])
+    for block, mults in blocks:
+        out = ws[block]
+        if not axes:
+            np.copyto(out, coeffs[block])
+            continue
+        np.multiply(coeffs[block], mults[axes[0]], out=out)
+        for axis in axes[1:]:
+            out *= mults[axis]
     return ws
+
+
+def _in_cube(grid: GridSpec, coeffs: np.ndarray) -> bool:
+    """Whether ``coeffs`` is zero outside the two-thirds cube, on the three
+    regions ``fwd(..., truncate=True)`` zeroes.  A test of values, not bits:
+    -0.0 passes and NaN fails."""
+    zlo, zhi, lo, hi, kx = grid.dealias_bounds
+    return not (
+        coeffs[:, :, kx:].any() or coeffs[zlo:zhi, :, :kx].any() or coeffs[:, lo:hi, :kx].any()
+    )
+
+
+def _workspace_derivative(grid: GridSpec, coeffs: np.ndarray, *axes: str) -> np.ndarray:
+    """``cube_derivative``'s product over the whole half spectrum, formed in
+    the grid's workspace; with no axes, ``coeffs`` itself."""
+    if not axes:
+        return coeffs
+    out = np.multiply(coeffs, getattr(grid, _AXES[axes[0]]), out=_workspace(grid))
+    for axis in axes[1:]:
+        out *= getattr(grid, _AXES[axis])
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -149,14 +181,15 @@ def _workspace(grid: GridSpec) -> np.ndarray:
 def _cube(grid: GridSpec, bounds: tuple[int, int, int, int, int]):
     """The cube array, +0.0 outside the cube ``bounds`` whenever
     ``cube_derivative`` hands it to ``inv``, and the non-empty kept blocks as
-    (index, x multiplier, y multiplier), each multiplier cut to the block.
-    Kept per grid and cube, so equal grids whose masks differ share nothing."""
+    (index, {axis: multiplier}), each multiplier cut to the block.  Kept per
+    grid and cube, so equal grids whose masks differ share nothing."""
     zlo, zhi, lo, hi, kx = bounds
     blocks = []
     for zs in (slice(0, zlo), slice(zhi, grid.nz)):
         for ys in (slice(0, lo), slice(hi, grid.ny)):
             if zs.start < zs.stop and ys.start < ys.stop:
-                blocks.append(((zs, ys, slice(0, kx)), grid.ikx[:, :, :kx], grid.iky[:, ys]))
+                mults = {"x": grid.ikx[:, :, :kx], "y": grid.iky[:, ys], "z": grid.ikz[zs]}
+                blocks.append(((zs, ys, slice(0, kx)), mults))
     return np.zeros(grid.kshape, dtype=np.complex128), tuple(blocks)
 
 
@@ -245,6 +278,12 @@ def inner_product(ah: SpectralField, bh: SpectralField) -> float:
 def sobolev_norm(fh: SpectralField, s: float) -> float:
     """Norm with weight (1 + |k|^2)^s on the isotropic wavenumber."""
     g = fh.grid
-    w = (1.0 + g.k2_iso) ** s
-    total = np.sum(g.hermitian_weight * w * (fh.coeffs.real**2 + fh.coeffs.imag**2))
+    total = np.sum(_sobolev_weight(g, s) * (fh.coeffs.real**2 + fh.coeffs.imag**2))
     return float(np.sqrt(g.volume * total))
+
+
+@lru_cache(maxsize=8)
+def _sobolev_weight(grid: GridSpec, s: float) -> np.ndarray:
+    """hermitian_weight * (1 + |k|^2)^s, the product ``sobolev_norm`` forms
+    first, so caching it keeps the norm's bits."""
+    return grid.hermitian_weight * (1.0 + grid.k2_iso) ** s

@@ -19,7 +19,13 @@ import numpy as np
 from .dynamics import NO_FORCING, Forcing, PhysicsParams, tendency_raw
 from .errors import NonFiniteError
 from .grid import GridSpec
-from .spectral import SpectralField, _workspace, inv, solve_stratified_poisson
+from .spectral import (
+    SpectralField,
+    _in_cube,
+    _workspace_derivative,
+    inv,
+    solve_stratified_poisson,
+)
 
 
 @dataclass(frozen=True)
@@ -78,18 +84,25 @@ class Observer:
             raise ValueError(f"observer interval must be finite and positive, got {self.every}")
 
 
-def cfl_dt(state: State, control: StepControl) -> float:
+def cfl_dt(
+    state: State, control: StepControl, *, maxima: Optional[Sequence[float]] = None
+) -> float:
     """Advective step bound cfl * min(dx/max|v1|, dy/max|v2|), clamped.
 
     Only the horizontal velocity enters: nothing is advected vertically.
-    A quiescent field hits no bound and returns dt_max.
+    A quiescent field hits no bound and returns dt_max.  ``maxima`` is
+    (max|v1|, max|v2|) of ``state`` when the caller has them, as stage 1 of
+    a step does for a state inside the two-thirds cube (see ``run``); then
+    only the bound and the clamps are applied.
     """
     grid = state.grid
-    psi_c = solve_stratified_poisson(state.q_hat, state.params.F).coeffs
-    ws = _workspace(grid)
-    # v1 = -psi_y; negation commutes exactly with the transform and |.|
-    m1 = float(np.max(np.abs(inv(grid, np.multiply(psi_c, grid.iky, out=ws)))))
-    m2 = float(np.max(np.abs(inv(grid, np.multiply(psi_c, grid.ikx, out=ws)))))
+    if maxima is None:
+        psi_c = solve_stratified_poisson(state.q_hat, state.params.F).coeffs
+        # v1 = -psi_y; negation commutes exactly with the transform and |.|
+        m1 = float(np.max(np.abs(inv(grid, _workspace_derivative(grid, psi_c, "y")))))
+        m2 = float(np.max(np.abs(inv(grid, _workspace_derivative(grid, psi_c, "x")))))
+    else:
+        m1, m2 = maxima
     bound = np.inf
     if m1 > 0.0:
         bound = grid.dx / m1
@@ -107,11 +120,15 @@ def _viscous_factors(grid: GridSpec, nu: float, dt: float):
     return e_half, e_half * e_half
 
 
-def rk4_step(state: State, dt: float, forcing: Forcing = NO_FORCING) -> State:
+def rk4_step(
+    state: State, dt: float, forcing: Forcing = NO_FORCING, *, k1: Optional[np.ndarray] = None
+) -> State:
     """One classical RK4 step of size dt.
 
     With nu > 0 the stages run on the integrating-factor variable, so the
     viscous decay is applied exactly per mode and never restricts dt.
+    ``k1`` is the tendency at the start of the step when the caller has it
+    (it does not depend on dt); the step takes it over and changes it.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -137,7 +154,8 @@ def rk4_step(state: State, dt: float, forcing: Forcing = NO_FORCING) -> State:
     # a diverging step overflows before it goes non-finite; keep that quiet
     # so the failure surfaces as the typed error below, not warning spam
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = rhs(q, t)
+        if k1 is None:
+            k1 = rhs(q, t)
         stage = np.multiply(k1, h)
         stage += q
         if viscous:
@@ -184,10 +202,25 @@ def rk4_step(state: State, dt: float, forcing: Forcing = NO_FORCING) -> State:
     return State(SpectralField(grid, q_new), t + dt, p)
 
 
-def _requested_dt(state: State, control: StepControl) -> float:
+def _requested_dt(state: State, control: StepControl, forcing: Forcing):
+    """The step size to ask for and, if it was computed on the way, the
+    tendency at ``state`` as ``rk4_step``'s k1.
+
+    A state inside the two-thirds cube gets its CFL maxima from that k1:
+    ``jacobian_raw`` transforms the truncated psi_y and psi_x, which equal
+    the full ones there, so dt has the bits of ``cfl_dt(state, control)``.
+    """
     if control.mode == "fixed":
-        return control.dt_fixed
-    return cfl_dt(state, control)
+        return control.dt_fixed, None
+    grid = state.grid
+    if not _in_cube(grid, state.q_hat.coeffs):
+        return cfl_dt(state, control), None
+    maxima = []
+    # quiet as in rk4_step, which raises the typed error on a diverging step
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = tendency_raw(grid, state.q_hat.coeffs, state.t, state.params, forcing,
+                          maxima=maxima)
+    return cfl_dt(state, control, maxima=maxima), k1
 
 
 ObserverLike = Union[Observer, Callable[[State], None]]
@@ -235,16 +268,16 @@ def run(
         return next_index[i] * obs[i].every
 
     while state.t < t_end - tiny:
-        dt_want = _requested_dt(state, control)
+        dt_want, k1 = _requested_dt(state, control, forcing)
         target = t_end
         for i, o in enumerate(obs):
             if o.every is not None:
                 target = min(target, next_event(i))
         if target <= state.t + dt_want * (1.0 + 1e-9):
-            state = rk4_step(state, target - state.t, forcing)
+            state = rk4_step(state, target - state.t, forcing, k1=k1)
             state = replace(state, t=target)  # land exactly, no drift
         else:
-            state = rk4_step(state, dt_want, forcing)
+            state = rk4_step(state, dt_want, forcing, k1=k1)
         for i, o in enumerate(obs):
             if o.every is None:
                 o.callback(state)

@@ -199,6 +199,35 @@ def test_record_and_cfl_dt_make_the_inverse_transforms_the_benchmark_counts(monk
             assert isinstance(inv_args[1], np.ndarray)
 
 
+def test_a_cfl_step_asks_cfl_dt_for_its_dt_and_makes_the_counted_calls():
+    # bench/spans.py takes a CFL step's requested dt from the cfl_dt span
+    # before it; a state inside the cube gets its velocity maxima from stage
+    # 1, so cfl_dt adds no transform and no Poisson solve to a step
+    spans_module = load_bench(SPANS)
+    state = make_random(GridSpec(16, 16, 16), -3.0, 1.0, 5, band=(2, 5))
+    control = stepping.StepControl(cfl_number=0.5, dt_max=10.0)
+    t_end = 3.5 * stepping.cfl_dt(state, control)
+    tracer = spans_module.Tracer()
+    tracer.install()
+    try:
+        stepping.run(state, t_end, control)
+    finally:
+        tracer.restore()
+    assert tracer.unrestored() == []
+    names = [s[0] for s in tracer.spans]
+    steps = names.count("stepping.rk4_step")
+    assert steps == 4 and names.count("stepping.cfl_dt") == steps
+    requested = [s[4] for s in tracer.spans if s[0] == "stepping.cfl_dt"]
+    taken = [s[4][1] for s in tracer.spans if s[0] == "stepping.rk4_step"]
+    # the last step is cut to land on t_end
+    assert taken[:-1] == requested[:-1] and taken[-1] < requested[-1]
+    m = spans_module.layer_metrics(tracer.spans)
+    assert m["stepping.steps_truncated"] == 1
+    assert (m["spectral.inv.calls"], m["spectral.fwd.calls"], m["spectral.poisson.calls"]) == (
+        16 * steps, 4 * steps, 4 * steps)
+    assert m["dynamics.tendency.calls"] == 4 * steps
+
+
 def test_growth_check_takes_the_history_and_a_tolerance():
     # bench/workloads.py calls check_growth_bounds(history, cfg.checks.tol_growth)
     inspect.signature(check_growth_bounds).bind([], 1e-3)

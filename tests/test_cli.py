@@ -20,7 +20,7 @@ from qg3d.diagnostics import CSV_COLUMNS
 from qg3d.dynamics import PhysicsParams
 from qg3d.grid import GridSpec
 from qg3d.initial import make_random
-from qg3d.snapshots import read_snapshot, write_snapshot
+from qg3d.snapshots import read_checkpoint, read_snapshot, write_snapshot
 from qg3d.spectral import inv
 from qg3d.stepping import State
 
@@ -244,9 +244,22 @@ def test_blowup_exits_2_and_keeps_partial_diagnostics(tmp_path, monkeypatch, cap
     cfg = write_cfg(tmp_path, BLOWUP)
     out = use_out(monkeypatch, tmp_path, "out")
     assert main(["run", cfg]) == 2
-    assert "blow-up" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "blow-up" in err
+    # checkpoint_every = 0: the run wrote no checkpoint and says so
+    assert "(no checkpoint written)" in err and "retained" not in err
     assert (out / "diagnostics.csv").exists()
     assert not (out / "final.qg3d").exists()
+    assert not (out / "checkpoint.qg3d").exists()
+
+
+def test_blowup_after_an_event_checkpoint_says_it_is_retained(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, BLOWUP + "output.checkpoint_every = 2.0\n")
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "(last good checkpoint retained)" in err
+    assert read_checkpoint(out / "checkpoint.qg3d")[0].t > 0.0
 
 
 def test_verify_blowup_exits_2_and_keeps_partial_diagnostics(tmp_path, monkeypatch, capsys):
@@ -601,6 +614,28 @@ def test_restart_with_a_malformed_earlier_csv_exits_1_before_any_step(
     assert "restarting from t = 0.5" in err and "run complete" not in err
     # no file of the earlier run was rewritten, snapshot_00003 and 00004 included
     assert files() == before
+
+
+def test_restart_with_a_foreign_earlier_csv_header_exits_1_before_any_step(
+    tmp_path, monkeypatch, capsys
+):
+    # ratios.csv copied over diagnostics.csv parses, but its rows would sit
+    # under the diagnostics header as a ragged CSV
+    cfg = write_cfg(tmp_path, RANDOM_16 + "time.t_end = 1.0\ngrid.nx = 8\ngrid.ny = 8\n")
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    csv = out / "diagnostics.csv"
+    csv.write_bytes((out / "ratios.csv").read_bytes())
+    snapshot = out / "snapshot_00003.qg3d"
+    before = (snapshot.stat().st_ino, snapshot.stat().st_mtime_ns, snapshot.read_bytes())
+    csv_before = csv.read_bytes()
+    assert main(["run", cfg, "--restart", str(out / "snapshot_00002.qg3d")]) == 1
+    err = capsys.readouterr().err
+    assert f"qg3d run: error: {csv}: header is not t,v_l2," in err
+    assert "run complete" not in err
+    assert (snapshot.stat().st_ino, snapshot.stat().st_mtime_ns, snapshot.read_bytes()) == before
+    assert csv.read_bytes() == csv_before
 
 
 def test_run_from_t0_replaces_an_unparseable_csv(tmp_path, monkeypatch, capsys):

@@ -36,6 +36,7 @@ from qg3d.spectral import (
 )
 from qg3d.stepping import State, StepControl, _viscous_factors, cfl_dt, rk4_step
 import qg3d.spectral as spectral
+import qg3d.stepping as stepping
 
 # ---- reference forms ---------------------------------------------------------
 
@@ -344,6 +345,60 @@ def test_cfl_dt_matches_reference(grid, dealiased):
     assert_same_bits(q, q_before)
 
 
+def ref_cfl_run(state, t_end, control, forcing):
+    """``run`` without observers, as a loop of cfl_dt and then rk4_step;
+    the last step is cut to land on t_end."""
+    tiny = 1e-12 * max(1.0, abs(t_end))
+    while state.t < t_end - tiny:
+        dt = cfl_dt(state, control)
+        if t_end <= state.t + dt * (1.0 + 1e-9):
+            state = dataclasses.replace(rk4_step(state, t_end - state.t, forcing), t=t_end)
+        else:
+            state = rk4_step(state, dt, forcing)
+    return state
+
+
+def spy_cfl_dt(monkeypatch):
+    """Wrap stepping.cfl_dt; returns the list of the maxima it was given."""
+    given = []
+    original = stepping.cfl_dt
+
+    def wrapper(state, control, *, maxima=None):
+        given.append(maxima)
+        return original(state, control, maxima=maxima)
+
+    monkeypatch.setattr(stepping, "cfl_dt", wrapper)
+    return given
+
+
+# 16x8x8 has dx != dy, so max|v1| and max|v2| cannot stand in for each other
+@pytest.mark.parametrize("grid", GRIDS + [GridSpec(16, 8, 8)], ids=grid_id)
+@pytest.mark.parametrize("nu", [0.0, 0.02])
+@pytest.mark.parametrize("outside", [False, True], ids=["in-cube", "1e-17-outside"])
+def test_cfl_run_matches_the_loop_of_cfl_dt_and_rk4_step(grid, nu, outside, monkeypatch):
+    # a state inside the cube takes its CFL maxima from stage 1; one with a
+    # single 1e-17 coefficient outside takes cfl_dt's own transforms
+    q = random_coeffs(grid, 37, dealiased=True)
+    if outside:
+        q[just_outside(grid)[0]] = 1e-17
+    q_before = q.copy()
+    table = np.where(grid.dealias_mask, table_forcing(grid, 36).evaluator(grid, 0.0), 0.0)
+    forced = Forcing(lambda g, t: table * np.cos(3.0 * t))
+    control = StepControl(cfl_number=0.5, dt_min=1e-9, dt_max=10.0)
+    for beta, forcing in itertools.product((0.0, 1.3), (NO_FORCING, forced)):
+        state = State(SpectralField(grid, q), 0.25, PhysicsParams(beta=beta, nu=nu))
+        t_end = state.t + 3.5 * cfl_dt(state, control)
+        ref = ref_cfl_run(state, t_end, control, forcing)
+        given = spy_cfl_dt(monkeypatch)
+        new = stepping.run(state, t_end, control, forcing)
+        monkeypatch.undo()
+        assert len(given) >= 3
+        assert all((m is None) == outside for m in given)
+        assert new.t == ref.t == t_end
+        assert_same_bits(new.q_hat.coeffs, ref.q_hat.coeffs)
+    assert_same_bits(q, q_before)
+
+
 # ---- the kept arrays -------------------------------------------------------------
 
 
@@ -389,6 +444,32 @@ def test_cube_derivative_is_the_truncated_product_after_any_use():
             assert ws is spectral._cube(grid, grid.dealias_bounds)[0]
             assert_same_bits(ws, expected)
             assert_same_bits(inv(grid, ws), ref_inv(grid, expected))
+
+
+def test_cube_derivative_multiplies_along_its_axes_in_their_order():
+    # no axes is the truncation itself; record's Hessian multiplies twice
+    for grid in (GridSpec(8, 8, 8), GridSpec(32, 16, 32), GridSpec(2, 4, 8)):
+        full = random_coeffs(grid, 38, dealiased=False)
+        mults = {"x": grid.ikx, "y": grid.iky, "z": grid.ikz}
+        for axes in ((), ("z",), ("x", "x"), ("x", "z"), ("y", "z"), ("z", "y")):
+            expected = full.copy()
+            for axis in axes:
+                expected = expected * mults[axis]
+            expected = np.where(grid.dealias_mask, expected, 0.0)
+            assert_same_bits(spectral.cube_derivative(grid, full, *axes), expected)
+            assert_same_bits(inv(grid, spectral.cube_derivative(grid, full, *axes)),
+                             ref_inv(grid, expected))
+
+
+def test_sobolev_weight_is_built_once_per_grid_and_order():
+    grid = GridSpec(8, 8, 4)
+    fh = SpectralField(grid, random_coeffs(grid, 39, True))
+    sobolev_norm(fh, 3)
+    before = spectral._sobolev_weight.cache_info()
+    for _ in range(3):
+        sobolev_norm(fh, 3)
+    after = spectral._sobolev_weight.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
 
 
 def test_a_grid_whose_mask_is_replaced_truncates_by_its_own_mask():

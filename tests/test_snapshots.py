@@ -21,7 +21,7 @@ from qg3d.snapshots import (
     write_checkpoint,
     write_snapshot,
 )
-from qg3d.spectral import SpectralField, inv
+from qg3d.spectral import SpectralField, fwd, inv
 from qg3d.stepping import State
 
 
@@ -59,6 +59,27 @@ def test_rewrite_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.qg3d", tmp_path / "b.qg3d"
     write_snapshot(state, a)
     write_snapshot(read_snapshot(a), b)
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_a_read_state_lies_inside_the_cube_with_zero_mean(tmp_path):
+    # the written samples have a mean and modes up to Nyquist; the read
+    # coefficients are the cube of their transform with the mean removed,
+    # and the file's samples still write back byte for byte
+    grid = GridSpec(16, 8, 8)
+    values = 0.5 + np.random.default_rng(4).standard_normal(grid.shape)
+    state = State(SpectralField(grid, fwd(grid, values)), 0.75, PhysicsParams())
+    a, b = tmp_path / "a.qg3d", tmp_path / "b.qg3d"
+    write_snapshot(state, a)
+    back = read_snapshot(a)
+    coeffs = back.q_hat.coeffs
+    outside = ~grid.dealias_mask
+    assert outside.any() and not coeffs[outside].view(np.uint64).any()  # +0.0
+    assert coeffs[0, 0, 0] == 0.0
+    expected = np.where(grid.dealias_mask, fwd(grid, back.q_hat.samples), 0.0)
+    expected[0, 0, 0] = 0.0
+    assert coeffs.tobytes() == expected.tobytes()
+    write_snapshot(back, b)
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -12,6 +12,7 @@ from qg3d.errors import GridMismatchError, NonZeroMeanError
 from qg3d.grid import GridSpec
 from qg3d.spectral import (
     SpectralField,
+    _in_cube,
     dealias,
     derivative,
     fwd,
@@ -249,3 +250,22 @@ def test_samples_must_have_the_grid_shape_and_do_not_survive_a_copy():
         SpectralField(grid, fwd(grid, q), samples=q.ravel())
     # the copy's coefficients may change, so it keeps no samples
     assert field.copy().samples is None
+
+
+@pytest.mark.parametrize(
+    "grid", [GridSpec(8, 8, 8), GridSpec(16, 8, 4), GridSpec(8, 1, 1), GridSpec(64, 64, 1)]
+)
+def test_in_cube_tests_the_values_outside_the_two_thirds_cube(grid):
+    inside = np.where(grid.dealias_mask, fwd(grid, random_field(grid, 5)), 0.0)
+    assert _in_cube(grid, inside)
+    # a value test: -0.0 outside passes; a tiny value or a NaN outside fails
+    assert _in_cube(grid, np.where(grid.dealias_mask, inside, -0.0))
+    for spot in zip(*np.nonzero(~grid.dealias_mask)):
+        for value in (1e-300, 1e-300j, np.nan):
+            c = inside.copy()
+            c[spot] = value
+            assert not _in_cube(grid, c), (spot, value)
+    # whatever lies inside the cube does not matter
+    c = inside.copy()
+    c[0, 0, 1] = np.nan
+    assert _in_cube(grid, c)
