@@ -33,6 +33,7 @@ from .config import (
 )
 from .diagnostics import (
     CSV_COLUMNS,
+    RATIOS_HEADER,
     SPATIAL_FLOOR_TOL,
     TEMPORAL_DTS,
     TEMPORAL_RATIO_RANGE,
@@ -160,11 +161,10 @@ def _simulate(cfg: RunConfig, state: State, out: Path) -> tuple[State, list] | N
     """
     t0, t_end = state.t, cfg.time.t_end
     earlier = {}
-    for name, header in (("diagnostics.csv", list(CSV_COLUMNS)),
-                         ("ratios.csv", ["t", *monitor_ratios(()).columns])):
+    for name, header in (("diagnostics.csv", CSV_COLUMNS), ("ratios.csv", RATIOS_HEADER)):
         if t0 > 0.0 and (out / name).is_file():
             found, rows = _read_csv(out / name)
-            if found != header:
+            if tuple(found) != header:
                 raise QGError(f"{out / name}: header is not {','.join(header)}")
             earlier[name] = [row for row in rows if row[0] < t0]
     history = []
@@ -326,8 +326,6 @@ def _cmd_info(args) -> int:
     _eprint(f"grid:      {grid.nx} x {grid.ny} x {grid.nz}")
     _eprint(f"box:       {grid.lx:.6g} x {grid.ly:.6g} x {grid.lz:.6g}")
     _eprint(f"F = {p.F:.6g}  beta = {p.beta:.6g}  nu = {p.nu:.6g}  t = {state.t:.6g}")
-    # the read state has zero mean; the file's own mean is in its samples
-    _eprint(f"mean(q) = {np.mean(state.q_hat.samples):.3e}")
     norms = record(state)
     _eprint(f"||q||_L2 = {norms.q_l2:.9e}")
     _eprint(f"||q||_Linf = {norms.q_linf:.9e}")

@@ -53,6 +53,17 @@ CSV_COLUMNS = (
     "hm_v",
     "grad_v_linf",
 )
+#: The header of the ratios CSV: "t", then ``monitor_ratios``' columns.
+RATIOS_HEADER = (
+    "t",
+    "cz_ratio_l2",
+    "cz_ratio_l4",
+    "gn_ratio",
+    "q_l2_over_poly",
+    "q_l4_over_poly",
+    "q_l6_over_poly",
+    "d2q_l3",
+)
 
 
 @dataclass(frozen=True)
@@ -181,7 +192,9 @@ def record(state: State, m: int = 4) -> DiagnosticsRecord:
         vh = spectrum(grid, psi, axis)
         return sobolev_norm(SpectralField(grid, vh), m), inv(grid, vh)
 
-    q_l2, q_l4, q_l6, q_linf = _norms(dv, inv(grid, spectrum(grid, q_hat.coeffs)), 2, 4, 6, math.inf)
+    q = inv(grid, spectrum(grid, q_hat.coeffs))
+    q_l2, q_l4, q_l6, q_linf = _norms(dv, q, 2, 4, 6, math.inf)
+    del q
 
     hm_v2, v2 = velocity("x")
     v2_l6, v2_linf = _norms(dv, v2, 6, math.inf)
@@ -452,6 +465,6 @@ def write_diagnostics_csv(path, history: Sequence[DiagnosticsRecord], *, earlier
 
 def write_ratios_csv(path, report: RatioReport, *, earlier=()) -> None:
     """One row per record time, after the ``earlier`` rows of an interrupted run."""
-    names = list(report.columns.keys())
+    names = RATIOS_HEADER[1:]
     rows = ([t] + [report.columns[n][i] for n in names] for i, t in enumerate(report.t))
-    _write_csv(path, ["t"] + names, [*earlier, *rows])
+    _write_csv(path, RATIOS_HEADER, [*earlier, *rows])

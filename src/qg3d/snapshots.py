@@ -6,8 +6,7 @@ time as f64), followed by the scalar in physical space as f64 with x
 varying fastest.  Checkpoints are snapshots plus a JSON sidecar carrying
 the integrator time and a config digest.  All writes go through a
 temporary file and an atomic rename.  A read state holds the two-thirds
-cube of the samples' transform, with zero mean, and keeps the samples, which
-a write of it puts back unchanged.
+cube of the samples' transform, with zero mean; see ``read_snapshot``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from .dynamics import PhysicsParams
 from .errors import SnapshotFormatError
 from .grid import GridSpec
-from .spectral import SpectralField, fwd, inv
+from .spectral import SpectralField, fwd, inv, l2_norm
 from .stepping import State
 
 MAGIC = b"QG3D"
@@ -100,14 +99,34 @@ def read_snapshot(path) -> State:
     try:
         grid = GridSpec(nx=int(nx), ny=int(ny), nz=int(nz), lx=lx, ly=ly, lz=lz)
         params = PhysicsParams(beta=beta, nu=nu, F=F)
-        q = q.reshape(grid.shape)
-        # a valid state: inside the two-thirds cube and of zero mean; the
-        # file's samples are kept, so writing the state back reproduces it
-        coeffs = fwd(grid, q, truncate=True)
-        coeffs[0, 0, 0] = 0.0
-        return State(SpectralField(grid, coeffs, samples=q), t, params)
+        return State(_read_field(path, grid, q.reshape(grid.shape)), t, params)
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: invalid header fields: {exc}") from None
+
+
+def _read_field(path, grid: GridSpec, q: np.ndarray) -> SpectralField:
+    """The state of the samples ``q``: the two-thirds cube of their
+    transform, with zero mean.
+
+    Samples whose mean exceeds 1e-12 * ||q||_L2, the Poisson solve's test,
+    are refused.  The samples are kept, so a write of the state reproduces
+    the file, only if what the cube and the zero mean drop is within that
+    same rounding bound, as for every file qg3d writes; otherwise the state
+    writes its own samples.
+    """
+    full = fwd(grid, q)
+    norm = l2_norm(SpectralField(grid, full))
+    mean = abs(full[0, 0, 0])
+    if mean > 1e-12 * norm:
+        raise SnapshotFormatError(
+            f"{path}: samples have mean {mean:.3e} > 1e-12 * ||q||_L2 = {1e-12 * norm:.3e};"
+            " a state has zero mean"
+        )
+    coeffs = np.where(grid.dealias_mask, full, 0.0)
+    coeffs[0, 0, 0] = 0.0
+    full -= coeffs
+    exact = l2_norm(SpectralField(grid, full)) <= 1e-12 * norm
+    return SpectralField(grid, coeffs, samples=q if exact else None)
 
 
 def checkpoint_meta_path(path) -> Path:

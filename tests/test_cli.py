@@ -21,7 +21,7 @@ from qg3d.dynamics import PhysicsParams
 from qg3d.grid import GridSpec
 from qg3d.initial import make_random
 from qg3d.snapshots import read_checkpoint, read_snapshot, write_snapshot
-from qg3d.spectral import inv
+from qg3d.spectral import SpectralField, fwd, inv
 from qg3d.stepping import State
 
 ROSSBY_16 = """\
@@ -591,6 +591,42 @@ def test_restart_from_a_snapshot_rewrites_it_byte_for_byte(tmp_path, monkeypatch
     assert main(["run", cfg, "--restart", str(source)]) == 0
     capsys.readouterr()
     assert (fresh / "snapshot_00002.qg3d").read_bytes() == source.read_bytes()
+
+
+def noise_ic_cfg(tmp_path, mean):
+    """A config whose initial state is a file of white noise at t = 0, with
+    modes up to Nyquist, plus ``mean``."""
+    grid = GridSpec(8, 8, 16)
+    values = np.random.default_rng(5).standard_normal(grid.shape)
+    values += mean - np.mean(values)
+    path = tmp_path / "noise.qg3d"
+    write_snapshot(State(SpectralField(grid, fwd(grid, values)), 0.0, PhysicsParams()), path)
+    text = (RANDOM_16 + "grid.nx = 8\ngrid.ny = 8\ntime.t_end = 0.02\n"
+            "checks.conservation = false\nchecks.growth = false\n"
+            f"ic.kind = file\nic.path = {path}\n")
+    return write_cfg(tmp_path, text, "noise.cfg"), path
+
+
+def test_file_ic_with_a_mean_exits_1_before_any_output(tmp_path, monkeypatch, capsys):
+    cfg, path = noise_ic_cfg(tmp_path, 0.5)
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "mean" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_file_ic_outside_the_cube_snapshots_the_state_it_runs(tmp_path, monkeypatch, capsys):
+    # the start snapshot holds the read state, the cube of the file's
+    # transform, not the file's own samples
+    cfg, path = noise_ic_cfg(tmp_path, 0.0)
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    start = out / "snapshot_00000.qg3d"
+    read = read_snapshot(path)
+    assert start.read_bytes() != path.read_bytes()
+    assert np.array_equal(read_snapshot(start).q_hat.samples, inv(read.grid, read.q_hat.coeffs))
 
 
 def test_restart_with_a_malformed_earlier_csv_exits_1_before_any_step(

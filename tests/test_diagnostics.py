@@ -9,6 +9,7 @@ import pytest
 
 from qg3d.diagnostics import (
     CSV_COLUMNS,
+    RATIOS_HEADER,
     SPATIAL_FLOOR_TOL,
     CheckResult,
     DiagnosticsRecord,
@@ -387,5 +388,7 @@ def test_ratios_csv_shape(tmp_path):
     lines = path.read_text().strip().split("\n")
     header = lines[0].split(",")
     assert header[0] == "t"
+    # the header a continuation compares with, in the report's column order
+    assert tuple(header) == RATIOS_HEADER == ("t", *report.columns)
     assert len(lines) == 2
     assert len(lines[1].split(",")) == len(header)

@@ -63,16 +63,14 @@ def test_rewrite_is_byte_identical(tmp_path):
 
 
 def test_a_read_state_lies_inside_the_cube_with_zero_mean(tmp_path):
-    # the written samples have a mean and modes up to Nyquist; the read
-    # coefficients are the cube of their transform with the mean removed,
-    # and the file's samples still write back byte for byte
-    grid = GridSpec(16, 8, 8)
-    values = 0.5 + np.random.default_rng(4).standard_normal(grid.shape)
-    state = State(SpectralField(grid, fwd(grid, values)), 0.75, PhysicsParams())
+    # a state qg3d writes: its samples' transform has rounding outside the
+    # cube and in the mean, which the read drops, and the file's samples
+    # still write back byte for byte
+    state = sample_state()
     a, b = tmp_path / "a.qg3d", tmp_path / "b.qg3d"
     write_snapshot(state, a)
     back = read_snapshot(a)
-    coeffs = back.q_hat.coeffs
+    grid, coeffs = back.grid, back.q_hat.coeffs
     outside = ~grid.dealias_mask
     assert outside.any() and not coeffs[outside].view(np.uint64).any()  # +0.0
     assert coeffs[0, 0, 0] == 0.0
@@ -81,6 +79,34 @@ def test_a_read_state_lies_inside_the_cube_with_zero_mean(tmp_path):
     assert coeffs.tobytes() == expected.tobytes()
     write_snapshot(back, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def noise_file(tmp_path, mean):
+    """A snapshot of white noise (modes up to Nyquist) plus ``mean``."""
+    grid = GridSpec(16, 8, 8)
+    values = np.random.default_rng(4).standard_normal(grid.shape)
+    values += mean - np.mean(values)
+    path = tmp_path / "noise.qg3d"
+    write_snapshot(State(SpectralField(grid, fwd(grid, values)), 0.75, PhysicsParams()), path)
+    return path
+
+
+def test_samples_with_a_mean_are_refused(tmp_path):
+    with pytest.raises(SnapshotFormatError, match="mean"):
+        read_snapshot(noise_file(tmp_path, 0.5))
+
+
+def test_samples_outside_the_cube_write_the_state_read(tmp_path):
+    # the read keeps the cube of the samples' transform and drops the rest,
+    # so a write of the state holds that state's samples, not the file's
+    path = noise_file(tmp_path, 0.0)
+    back = read_snapshot(path)
+    grid, coeffs = back.grid, back.q_hat.coeffs
+    assert back.q_hat.samples is None
+    assert not coeffs[~grid.dealias_mask].any() and coeffs[0, 0, 0] == 0.0
+    written = np.frombuffer(snapshot_bytes(back), dtype="<f8", offset=struct.calcsize("<4sI3Q7d"))
+    assert np.array_equal(written, inv(grid, coeffs).ravel())
+    assert snapshot_bytes(back) != path.read_bytes()
 
 
 def test_zero_field_round_trip(tmp_path):
