@@ -22,8 +22,6 @@ from .grid import GridSpec
 from .initial import make_rossby
 from .spectral import (
     SpectralField,
-    _in_cube,
-    _workspace_derivative,
     cube_derivative,
     fwd,
     inner_product,
@@ -137,18 +135,18 @@ def _norms(cell_volume: float, values: np.ndarray, *ps: float) -> list[float]:
     return out
 
 
-def _gradient_magnitude(grid: GridSpec, spectrum, coeffs: np.ndarray) -> np.ndarray:
+def _gradient_magnitude(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """|grad f| = sqrt(fx * fx + fy * fy + fz * fz) on the grid."""
-    out = inv(grid, spectrum(grid, coeffs, "x"))
+    out = inv(grid, cube_derivative(grid, coeffs, "x"))
     out *= out
     for axis in "yz":
-        comp = inv(grid, spectrum(grid, coeffs, axis))
+        comp = inv(grid, cube_derivative(grid, coeffs, axis))
         comp *= comp
         out += comp
     return np.sqrt(out, out=out)
 
 
-def _hessian_magnitude(grid: GridSpec, spectrum, coeffs: np.ndarray) -> np.ndarray:
+def _hessian_magnitude(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """Frobenius norm of the Hessian on the grid, off-diagonal entries
     counted twice."""
     h2 = np.zeros(grid.shape)
@@ -158,7 +156,7 @@ def _hessian_magnitude(grid: GridSpec, spectrum, coeffs: np.ndarray) -> np.ndarr
         ("x", "y", 2.0), ("x", "z", 2.0), ("y", "z", 2.0),
     ):
         # the operand order of derivative(derivative(fh, ax1), ax2)
-        comp = inv(grid, spectrum(grid, coeffs, ax1, ax2))
+        comp = inv(grid, cube_derivative(grid, coeffs, ax1, ax2))
         # h2 += mult * comp * comp, without its two temporaries
         np.multiply(mult, comp, out=term)
         term *= comp
@@ -174,25 +172,23 @@ def record(state: State, m: int = 4) -> DiagnosticsRecord:
     and dropped before the next one is formed, and squares are taken in
     place, so few grid arrays are alive at a time.
 
-    If the scalar lies inside the two-thirds cube, so does every spectrum
-    derived from it, and the 19 spectra are formed in the cube array, which
-    ``inv`` prunes, with the bits of the full products; otherwise they are
-    formed in the workspace.
+    A state lies inside the two-thirds cube, and so does every spectrum
+    derived from it: the 19 spectra are formed in the cube array, which
+    ``inv`` prunes, with the bits of the full products.
     """
     grid = state.grid
     q_hat = state.q_hat
     F = state.params.F
     dv = grid.cell_volume
     psi = solve_stratified_poisson(q_hat, F).coeffs
-    spectrum = cube_derivative if _in_cube(grid, q_hat.coeffs) else _workspace_derivative
 
     def velocity(axis):
         # H^m norm and grid values of a velocity component, up to sign: v1 =
         # -psi_y enters only squared
-        vh = spectrum(grid, psi, axis)
+        vh = cube_derivative(grid, psi, axis)
         return sobolev_norm(SpectralField(grid, vh), m), inv(grid, vh)
 
-    q = inv(grid, spectrum(grid, q_hat.coeffs))
+    q = inv(grid, cube_derivative(grid, q_hat.coeffs))
     q_l2, q_l4, q_l6, q_linf = _norms(dv, q, 2, 4, 6, math.inf)
     del q
 
@@ -216,12 +212,12 @@ def record(state: State, m: int = 4) -> DiagnosticsRecord:
     v_l2 = _lp_raw(dv, np.sqrt(vh_sq, out=vh_sq), 2)
     del vh_sq
 
-    dq_l2, dq_l3, dq_l4 = _norms(dv, _gradient_magnitude(grid, spectrum, q_hat.coeffs), 2, 3, 4)
-    d2q_l3 = _lp_raw(dv, _hessian_magnitude(grid, spectrum, q_hat.coeffs), 3)
+    dq_l2, dq_l3, dq_l4 = _norms(dv, _gradient_magnitude(grid, q_hat.coeffs), 2, 3, 4)
+    d2q_l3 = _lp_raw(dv, _hessian_magnitude(grid, q_hat.coeffs), 3)
     # v = (-psi_y, psi_x, psi_z), so the sum of (d_j v_i)^2 over all nine
     # entries is the Hessian of psi with the off-diagonal entries twice
     grad_v_linf, grad_v_l2, grad_v_l4, grad_v_l6 = _norms(
-        dv, _hessian_magnitude(grid, spectrum, psi), math.inf, 2, 4, 6
+        dv, _hessian_magnitude(grid, psi), math.inf, 2, 4, 6
     )
 
     return DiagnosticsRecord(
@@ -277,7 +273,7 @@ def neutrality_checks(
 
     Each state is the transform of seeded white noise with its mean removed,
     so it fills the whole spectrum: products of modes beyond the dealias
-    ball alias, and only the Jacobian's truncation keeps the tendency
+    cube alias, and only the Jacobian's truncation keeps the tendency
     neutral.  A state whose tendency is exactly zero has nothing to measure
     and is skipped."""
     worst_q = 0.0

@@ -44,7 +44,8 @@ class Forcing:
 
     The optional evaluator maps (grid, t) to the raw coefficient array of the
     source; without one there is no forcing.  Its output is projected to zero
-    mean before use so the elliptic solve stays well posed.
+    mean, so the elliptic solve stays well posed, and to the two-thirds cube,
+    so a forced state stays inside it.
     """
 
     evaluator: Optional[Callable[[GridSpec, float], np.ndarray]] = None
@@ -61,7 +62,7 @@ class Forcing:
             raise GridMismatchError(
                 f"forcing evaluator returned shape {out.shape}, expected {grid.kshape}"
             )
-        out = out.copy()
+        out = np.where(grid.dealias_mask, out, 0.0)
         out[0, 0, 0] = 0.0
         return out
 

@@ -2,7 +2,7 @@
 
 Generators return full States (the scalar at t = 0 plus physics constants).
 Everything produced here is zero-mean, which the elliptic inversion requires
-on a periodic box.
+on a periodic box, and zero outside the two-thirds cube, as a State must be.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ def _canonical_mode(s: tuple[int, int, int]) -> tuple[int, int, int]:
     return (sx, sy, sz)
 
 
-def _check_representable(grid: GridSpec, s: tuple[int, int, int]) -> None:
+def _check_in_cube(grid: GridSpec, s: tuple[int, int, int]) -> None:
+    # the per-axis bound of grid.dealias_mask
     for name, n, si in (("x", grid.nx, s[0]), ("y", grid.ny, s[1]), ("z", grid.nz, s[2])):
-        if n == 1:
-            if si != 0:
-                raise ValueError(f"mode s_{name} = {si} needs more than one point on {name}")
-        elif abs(si) > n // 2 - 1:
-            raise ValueError(f"mode s_{name} = {si} not representable on {n} points")
+        if abs(si) > n / 3.0:
+            raise ValueError(
+                f"mode {s} lies outside the two-thirds cube: |s_{name}| = {abs(si)} > {n}/3"
+            )
 
 
 def single_mode_coeffs(grid: GridSpec, s: tuple[int, int, int], c: complex) -> np.ndarray:
@@ -65,11 +65,12 @@ def make_rossby(
     of the streamfunction, so the mode just rotates with frequency
     omega = -beta * kx / (kx^2 + ky^2 + F^2 kz^2).  The second return value
     maps any time to the exact spectral scalar, for error measurements.
+    A mode outside the two-thirds cube (|s| > n/3 on an axis) is refused.
     """
     if (s_x, s_y, s_z) == (0, 0, 0):
         raise ZeroModeError("the (0, 0, 0) mode has no dynamics")
+    _check_in_cube(grid, (s_x, s_y, s_z))
     s = _canonical_mode((s_x, s_y, s_z))
-    _check_representable(grid, s)
     kx = 2.0 * np.pi * s[0] / grid.lx
     ky = 2.0 * np.pi * s[1] / grid.ly
     kz = 2.0 * np.pi * s[2] / grid.lz
@@ -160,6 +161,7 @@ def make_blob(
 
     The box forces total mass zero, so the constant (the bump's mean) is
     removed; that shifts the values but none of the derived velocities.
+    The state is the two-thirds cube of the samples' transform.
     """
     if not width > 0.0:
         raise ValueError(f"width must be positive, got {width}")
@@ -177,7 +179,7 @@ def make_blob(
     gz = periodized(grid.z, center[2], grid.lz)
     values = A * gz[:, None, None] * gy[None, :, None] * gx[None, None, :]
     values = values - np.mean(values)
-    coeffs = fwd(grid, values)
+    coeffs = fwd(grid, values, truncate=True)
     coeffs[0, 0, 0] = 0.0
     return State(SpectralField(grid, coeffs), 0.0, params)
 
@@ -190,7 +192,8 @@ def make_zonal(
     """x- and z-independent streamfunction given by samples psi(y_j).
 
     Zonal states are exact steady states of the inviscid dynamics: the
-    advection term and the beta term both vanish.
+    advection term and the beta term both vanish.  The state is the
+    two-thirds cube of the profile's transform.
     """
     if params is None:
         params = PhysicsParams()
@@ -198,7 +201,7 @@ def make_zonal(
     if prof.shape != (grid.ny,):
         raise ValueError(f"profile needs {grid.ny} samples, got {prof.shape}")
     psi = np.broadcast_to(prof[None, :, None], grid.shape).copy()
-    q_c = fwd(grid, psi) * grid.stratified_symbol(params.F)
+    q_c = fwd(grid, psi, truncate=True) * grid.stratified_symbol(params.F)
     q_c[0, 0, 0] = 0.0
     return State(SpectralField(grid, q_c), 0.0, params)
 
@@ -211,8 +214,9 @@ _Target = Callable[[float], tuple[np.ndarray, np.ndarray]]
 
 
 def manufactured_solution(grid: GridSpec, target: _Target, F: float, t: float) -> SpectralField:
-    """Exact spectral scalar of the target streamfunction at time t."""
-    q_c = target(t)[0] * grid.stratified_symbol(F)
+    """Exact spectral scalar of the target streamfunction at time t, cut to
+    the two-thirds cube."""
+    q_c = np.where(grid.dealias_mask, target(t)[0] * grid.stratified_symbol(F), 0.0)
     q_c[0, 0, 0] = 0.0
     return SpectralField(grid, q_c)
 

@@ -5,19 +5,14 @@ input, except that ``inv`` consumes the cube array of ``cube_derivative``.
 The transform pair uses the "forward" normalization, so the zero
 coefficient of a transformed field is exactly its box mean.
 
-Two half spectra are kept per grid.  Neither leaves the function that fills
-it:
-
-- ``_workspace(grid)`` is a product buffer for short-lived spectra:
-  ``_workspace_derivative`` forms in it the spectra the CFL bound, and the
-  diagnostics of a state with coefficients outside the two-thirds cube,
-  transform.  ``inv`` reads it like any other array and leaves it as it was.
-- the cube array of ``cube_derivative`` holds the Jacobian's derivative
-  spectra, and the diagnostics' spectra of a state inside the cube
-  (``_in_cube``), and is +0.0 outside the two-thirds cube by construction.
-  ``inv`` transforms the array in place and skips the lines the two-thirds
-  rule leaves empty, so its contents do not survive the call; a norm of
-  the spectrum is taken before it.
+One half spectrum is kept per grid, the cube array of ``cube_derivative``.
+It holds the spectra that the Jacobian, the CFL bound and the diagnostics
+transform, and is +0.0 outside the two-thirds cube by construction.  A
+state is refused unless it lies inside that cube (``_in_cube``), so the
+spectra of the CFL bound and the diagnostics are the full products.
+``inv`` transforms the array in place and skips the lines the two-thirds
+rule leaves empty, so its contents do not survive the call; a norm of the
+spectrum is taken before it.
 
 ``fwd(..., truncate=True)`` computes only the kept cube of the forward
 transform, for results the two-thirds rule truncates anyway.
@@ -153,30 +148,6 @@ def _in_cube(grid: GridSpec, coeffs: np.ndarray) -> bool:
     )
 
 
-def _workspace_derivative(grid: GridSpec, coeffs: np.ndarray, *axes: str) -> np.ndarray:
-    """``cube_derivative``'s product over the whole half spectrum, formed in
-    the grid's workspace; with no axes, ``coeffs`` itself."""
-    if not axes:
-        return coeffs
-    out = np.multiply(coeffs, getattr(grid, _AXES[axes[0]]), out=_workspace(grid))
-    for axis in axes[1:]:
-        out *= getattr(grid, _AXES[axis])
-    return out
-
-
-@lru_cache(maxsize=8)
-def _workspace(grid: GridSpec) -> np.ndarray:
-    """One half spectrum kept per grid as a product buffer for spectra that
-    are transformed, or reduced to a norm, and then dropped.
-
-    A fresh 2-MB product per inverse transform at 64^3 is memory that glibc
-    hands back to the system between calls, so each one costs page faults;
-    the kept array costs them once.  ``inv`` does not write to it, so it
-    still holds the spectrum after the call.
-    """
-    return np.empty(grid.kshape, dtype=np.complex128)
-
-
 @lru_cache(maxsize=8)
 def _cube(grid: GridSpec, bounds: tuple[int, int, int, int, int]):
     """The cube array, +0.0 outside the cube ``bounds`` whenever
@@ -247,7 +218,7 @@ def _inverse_symbol(grid: GridSpec, F: float) -> np.ndarray:
 
 
 def dealias(fh: SpectralField) -> SpectralField:
-    """Zero every mode outside the two-thirds-rule ball.  Idempotent."""
+    """Zero every mode outside the two-thirds cube.  Idempotent."""
     return SpectralField(fh.grid, np.where(fh.grid.dealias_mask, fh.coeffs, 0.0))
 
 

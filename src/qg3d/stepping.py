@@ -19,18 +19,13 @@ import numpy as np
 from .dynamics import NO_FORCING, Forcing, PhysicsParams, tendency_raw
 from .errors import NonFiniteError
 from .grid import GridSpec
-from .spectral import (
-    SpectralField,
-    _in_cube,
-    _workspace_derivative,
-    inv,
-    solve_stratified_poisson,
-)
+from .spectral import SpectralField, _in_cube, cube_derivative, inv, solve_stratified_poisson
 
 
 @dataclass(frozen=True)
 class State:
-    """Prognostic coefficients plus simulation time and physics constants."""
+    """Prognostic coefficients, zero outside the two-thirds cube (a value
+    test: -0.0 passes), plus simulation time and physics constants."""
 
     q_hat: SpectralField
     t: float
@@ -39,6 +34,8 @@ class State:
     def __post_init__(self):
         if not np.isfinite(self.t) or self.t < 0.0:
             raise ValueError(f"time must be finite and >= 0, got {self.t}")
+        if not _in_cube(self.grid, self.q_hat.coeffs):
+            raise ValueError("coefficients must be zero outside the two-thirds cube")
 
     @property
     def grid(self) -> GridSpec:
@@ -92,15 +89,15 @@ def cfl_dt(
     Only the horizontal velocity enters: nothing is advected vertically.
     A quiescent field hits no bound and returns dt_max.  ``maxima`` is
     (max|v1|, max|v2|) of ``state`` when the caller has them, as stage 1 of
-    a step does for a state inside the two-thirds cube (see ``run``); then
-    only the bound and the clamps are applied.
+    a step does (see ``run``); then only the bound and the clamps are
+    applied.
     """
     grid = state.grid
     if maxima is None:
         psi_c = solve_stratified_poisson(state.q_hat, state.params.F).coeffs
         # v1 = -psi_y; negation commutes exactly with the transform and |.|
-        m1 = float(np.max(np.abs(inv(grid, _workspace_derivative(grid, psi_c, "y")))))
-        m2 = float(np.max(np.abs(inv(grid, _workspace_derivative(grid, psi_c, "x")))))
+        m1 = float(np.max(np.abs(inv(grid, cube_derivative(grid, psi_c, "y")))))
+        m2 = float(np.max(np.abs(inv(grid, cube_derivative(grid, psi_c, "x")))))
     else:
         m1, m2 = maxima
     bound = np.inf
@@ -206,15 +203,13 @@ def _requested_dt(state: State, control: StepControl, forcing: Forcing):
     """The step size to ask for and, if it was computed on the way, the
     tendency at ``state`` as ``rk4_step``'s k1.
 
-    A state inside the two-thirds cube gets its CFL maxima from that k1:
-    ``jacobian_raw`` transforms the truncated psi_y and psi_x, which equal
-    the full ones there, so dt has the bits of ``cfl_dt(state, control)``.
+    A CFL step gets its maxima from that k1: ``jacobian_raw`` transforms
+    psi_y and psi_x as ``cfl_dt`` does, so dt has the bits of
+    ``cfl_dt(state, control)``.
     """
     if control.mode == "fixed":
         return control.dt_fixed, None
     grid = state.grid
-    if not _in_cube(grid, state.q_hat.coeffs):
-        return cfl_dt(state, control), None
     maxima = []
     # quiet as in rk4_step, which raises the typed error on a diverging step
     with np.errstate(over="ignore", invalid="ignore"):

@@ -8,6 +8,7 @@ import importlib
 import os
 import shutil
 import stat
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from qg3d.dynamics import PhysicsParams
 from qg3d.grid import GridSpec
 from qg3d.initial import make_random
 from qg3d.snapshots import read_checkpoint, read_snapshot, write_snapshot
-from qg3d.spectral import SpectralField, fwd, inv
+from qg3d.spectral import inv
 from qg3d.stepping import State
 
 ROSSBY_16 = """\
@@ -595,12 +596,13 @@ def test_restart_from_a_snapshot_rewrites_it_byte_for_byte(tmp_path, monkeypatch
 
 def noise_ic_cfg(tmp_path, mean):
     """A config whose initial state is a file of white noise at t = 0, with
-    modes up to Nyquist, plus ``mean``."""
-    grid = GridSpec(8, 8, 16)
-    values = np.random.default_rng(5).standard_normal(grid.shape)
+    modes up to Nyquist, plus ``mean``; the file is written as raw bytes in
+    the documented layout, since no State holds such samples."""
+    values = np.random.default_rng(5).standard_normal((16, 8, 8))
     values += mean - np.mean(values)
     path = tmp_path / "noise.qg3d"
-    write_snapshot(State(SpectralField(grid, fwd(grid, values)), 0.0, PhysicsParams()), path)
+    header = struct.pack("<4sI3Q7d", b"QG3D", 1, 8, 8, 16, *[2.0 * np.pi] * 3, 1.0, 1.0, 0.0, 0.0)
+    path.write_bytes(header + values.astype("<f8").tobytes())
     text = (RANDOM_16 + "grid.nx = 8\ngrid.ny = 8\ntime.t_end = 0.02\n"
             "checks.conservation = false\nchecks.growth = false\n"
             f"ic.kind = file\nic.path = {path}\n")
@@ -698,6 +700,17 @@ def test_negative_seed_exits_1_before_any_output(tmp_path, monkeypatch, capsys, 
     assert main(["run", cfg]) == 1
     assert f"qg3d run: config error: {key}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_rossby_mode_outside_the_cube_exits_1_before_any_output(tmp_path, monkeypatch, capsys):
+    # s_x = 3 is below Nyquist on 8 points but outside the two-thirds cube
+    cfg = write_cfg(tmp_path, "grid.nx = 8\ngrid.ny = 8\ngrid.nz = 8\nic.kind = rossby\n"
+                    "ic.sx = 3\nic.sy = 0\nic.sz = 0\ntime.t_end = 0.01\n")
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["run", cfg]) == 1
+    assert "qg3d run: error: mode (3, 0, 0) lies outside the two-thirds cube" in (
+        capsys.readouterr().err)
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])

@@ -17,7 +17,7 @@ from qg3d.config import (
 )
 from qg3d.errors import ConfigParseError, ConfigValidationError
 from qg3d.snapshots import write_snapshot
-from qg3d.spectral import l2_norm
+from qg3d.spectral import _in_cube, l2_norm
 
 
 def test_empty_config_is_all_defaults():
@@ -172,6 +172,7 @@ def test_build_initial_state_all_kinds(tmp_path):
     for state in (rossby, rand, blob, zonal):
         assert state.t == 0.0
         assert state.q_hat.grid.shape == (16, 16, 16)
+        assert _in_cube(state.grid, state.q_hat.coeffs)
     assert abs(l2_norm(rand.q_hat) - 0.5) < 1e-12
 
     snap = tmp_path / "ic.qg3d"

@@ -130,9 +130,9 @@ def test_record_single_harmonic_closed_forms():
 
 
 def test_record_grad_v_matches_nine_component_reference():
-    # a full-spectrum state (Nyquist modes populated) with F != 1
+    # a state with every mode of the two-thirds cube populated, and F != 1
     grid = GridSpec(16, 16, 8)
-    q = fwd(grid, np.random.default_rng(4).standard_normal(grid.shape))
+    q = fwd(grid, np.random.default_rng(4).standard_normal(grid.shape), truncate=True)
     q[0, 0, 0] = 0.0
     state = State(SpectralField(grid, q), 0.0, PhysicsParams(F=1.5))
     psi = solve_stratified_poisson(state.q_hat, 1.5)

@@ -102,17 +102,25 @@ def test_tendency_preserves_zero_mean():
 
 def test_forcing_projects_mean_and_checks_shape():
     grid = GridSpec(8, 8, 8)
+    # s_x = 3, s_y = -3 and |s_z| = 4 lie outside the two-thirds cube
+    outside = [(0, 1, 3), (1, 5, 1), (4, 0, 2)]
 
     def with_mean(g, t):
         c = np.zeros(g.kshape, dtype=np.complex128)
         c[0, 0, 0] = 3.0
         c[0, 1, 1] = 1.0 + 2.0j
+        for spot in outside:
+            c[spot] = 0.5 - 1.0j
         return c
 
     forcing = Forcing(with_mean)
     out = forcing.spectral(grid, 0.0)
     assert out[0, 0, 0] == 0.0
     assert out[0, 1, 1] == 1.0 + 2.0j
+    assert out[tuple(zip(*outside))].tolist() == [0.0] * 3
+    state = make_random(grid, -3.0, 1.0, 4)
+    tend = tendency_raw(grid, state.q_hat.coeffs, 0.0, state.params, forcing)
+    assert not tend[~grid.dealias_mask].any()
 
     def bad_shape(g, t):
         return np.zeros((2, 2, 2), dtype=np.complex128)

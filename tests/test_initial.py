@@ -1,6 +1,8 @@
 """Generator oracles: dispersion relation, seeded determinism, spectrum
 shape, Gaussian closed forms, and manufactured-solution consistency."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -61,9 +63,11 @@ def test_rossby_zero_mode_rejected():
 
 
 def test_rossby_mode_beyond_grid_rejected():
+    # |s| = 3 is below Nyquist on 8 points but outside the two-thirds cube
     grid = GridSpec(8, 8, 8)
-    with pytest.raises(ValueError):
-        make_rossby(grid, 1.0, 1.0, 4, 0, 0, 1.0)
+    for mode in ((4, 0, 0), (3, 0, 0), (0, -3, 1), (1, 0, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"mode {mode}")):
+            make_rossby(grid, 1.0, 1.0, *mode, 1.0)
 
 
 def test_rossby_negative_mode_is_same_field():

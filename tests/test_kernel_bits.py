@@ -2,12 +2,13 @@
 
 ``jacobian_raw``, ``tendency_raw``, ``solve_stratified_poisson`` and the
 stage arithmetic of ``rk4_step`` work in place on precomputed multipliers.
-``record`` and ``cfl_dt`` form the spectra they transform in a product
-buffer kept per grid, which ``inv`` leaves untouched.  The Jacobian's
-derivative spectra hold only the two-thirds cube, in a second kept array
-that ``inv`` transforms in place, skipping the lines the two-thirds rule
-leaves empty; its forward transform computes only that cube.  The references
-below are the straightforward array expressions they replace, with
+The spectra that the Jacobian, ``record`` and ``cfl_dt`` transform hold only
+the two-thirds cube, in an array kept per grid that ``inv`` transforms in
+place, skipping the lines the two-thirds rule leaves empty; the Jacobian's
+forward transform computes only that cube.  A state lies inside the cube, so
+``record`` and ``cfl_dt`` are tested on such states; the raw layer is also
+tested on full spectra, which the Jacobian truncates.  The references below
+are the straightforward array expressions they replace, with
 ``scipy.fft.irfftn`` as the inverse transform, kept as the specification:
 every result must match them byte for byte, not merely to a tolerance.
 """
@@ -190,7 +191,7 @@ def grid_id(grid):
 
 def random_coeffs(grid, seed, dealiased):
     """Spectrum of a random real field: zero mean, populated up to Nyquist
-    unless truncated to the two-thirds ball."""
+    unless truncated to the two-thirds cube."""
     rng = np.random.default_rng(seed)
     c = fwd(grid, rng.standard_normal(grid.shape))
     c[0, 0, 0] = 0.0
@@ -306,16 +307,20 @@ def test_rk4_step_matches_reference(grid, nu):
     assert_same_bits(q, q_before)
 
 
+# a State lies inside the two-thirds cube, so only dealiased inputs are left;
+# -0.0 outside the cube passes State's value test and must change no bit
+
+
 @pytest.mark.parametrize("grid", GRIDS, ids=grid_id)
-@pytest.mark.parametrize("dealiased", [True, False])
+@pytest.mark.parametrize("dealiased", [True])
 def test_record_matches_reference(grid, dealiased):
     # a change of summation order shows in the norms for about one seed in
     # five, so several seeds are run
     for seed in (11, 21, 22, 23, 24, 25):
         q = random_coeffs(grid, seed, dealiased)
         q_before = q.copy()
-        for F in (1.0, 1.5):
-            state = State(SpectralField(grid, q), 0.25, PhysicsParams(F=F))
+        for c, F in itertools.product((q, np.where(grid.dealias_mask, q, -0.0)), (1.0, 1.5)):
+            state = State(SpectralField(grid, c), 0.25, PhysicsParams(F=F))
             new, ref = record(state), ref_record(state)
             assert new == ref
             assert_same_bits(
@@ -325,19 +330,17 @@ def test_record_matches_reference(grid, dealiased):
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=grid_id)
-@pytest.mark.parametrize("dealiased", [True, False])
+@pytest.mark.parametrize("dealiased", [True])
 def test_cfl_dt_matches_reference(grid, dealiased):
     q = random_coeffs(grid, 12, dealiased)
     q_before = q.copy()
     # the field with x and y swapped: with dx = dy, the larger of max|v1| and
     # max|v2| sets dt, so each component sets it for one of the two inputs
-    swapped = fwd(grid, np.ascontiguousarray(inv(grid, q).swapaxes(1, 2)))
+    swapped = fwd(grid, np.ascontiguousarray(inv(grid, q).swapaxes(1, 2)), truncate=True)
     swapped[0, 0, 0] = 0.0
-    if dealiased:
-        swapped = np.where(grid.dealias_mask, swapped, 0.0)
     unclamped = StepControl(cfl_number=0.5, dt_min=1e-300, dt_max=1e300)
     for c, F, control in itertools.product(
-        (q, swapped), (1.0, 1.5), (unclamped, StepControl())
+        (q, swapped, np.where(grid.dealias_mask, q, -0.0)), (1.0, 1.5), (unclamped, StepControl())
     ):
         state = State(SpectralField(grid, c), 0.25, PhysicsParams(F=F))
         new, ref = cfl_dt(state, control), ref_cfl_dt(state, control)
@@ -374,13 +377,11 @@ def spy_cfl_dt(monkeypatch):
 # 16x8x8 has dx != dy, so max|v1| and max|v2| cannot stand in for each other
 @pytest.mark.parametrize("grid", GRIDS + [GridSpec(16, 8, 8)], ids=grid_id)
 @pytest.mark.parametrize("nu", [0.0, 0.02])
-@pytest.mark.parametrize("outside", [False, True], ids=["in-cube", "1e-17-outside"])
+@pytest.mark.parametrize("outside", [0.0, -0.0], ids=["in-cube", "minus-zero-outside"])
 def test_cfl_run_matches_the_loop_of_cfl_dt_and_rk4_step(grid, nu, outside, monkeypatch):
-    # a state inside the cube takes its CFL maxima from stage 1; one with a
-    # single 1e-17 coefficient outside takes cfl_dt's own transforms
-    q = random_coeffs(grid, 37, dealiased=True)
-    if outside:
-        q[just_outside(grid)[0]] = 1e-17
+    # every CFL step takes its maxima from stage 1, also from a state that
+    # holds -0.0 outside the cube
+    q = np.where(grid.dealias_mask, random_coeffs(grid, 37, dealiased=True), outside)
     q_before = q.copy()
     table = np.where(grid.dealias_mask, table_forcing(grid, 36).evaluator(grid, 0.0), 0.0)
     forced = Forcing(lambda g, t: table * np.cos(3.0 * t))
@@ -393,27 +394,13 @@ def test_cfl_run_matches_the_loop_of_cfl_dt_and_rk4_step(grid, nu, outside, monk
         new = stepping.run(state, t_end, control, forcing)
         monkeypatch.undo()
         assert len(given) >= 3
-        assert all((m is None) == outside for m in given)
+        assert None not in given
         assert new.t == ref.t == t_end
         assert_same_bits(new.q_hat.coeffs, ref.q_hat.coeffs)
     assert_same_bits(q, q_before)
 
 
-# ---- the kept arrays -------------------------------------------------------------
-
-
-def test_results_share_no_memory_with_the_workspace():
-    grid = GRIDS[1]
-    ws = spectral._workspace(grid)
-    psi, q = random_coeffs(grid, 13, True), random_coeffs(grid, 14, True)
-    params = PhysicsParams(beta=1.3, F=1.5)
-    state = State(SpectralField(grid, q), 0.5, params)
-    outputs = {
-        "jacobian_raw": jacobian_raw(grid, psi, q),
-        "tendency_raw": tendency_raw(grid, q, 0.5, params),
-        "rk4_step": rk4_step(state, 3e-3).q_hat.coeffs,
-    }
-    assert [name for name, out in outputs.items() if np.shares_memory(out, ws)] == []
+# ---- the cube array -------------------------------------------------------------
 
 
 def test_a_second_jacobian_leaves_the_first_result_untouched():
@@ -422,14 +409,6 @@ def test_a_second_jacobian_leaves_the_first_result_untouched():
     kept = first.copy()
     jacobian_raw(grid, random_coeffs(grid, 17, False), random_coeffs(grid, 18, False))
     assert_same_bits(first, kept)
-
-
-def test_each_grid_has_its_own_workspace():
-    a, b = (spectral._workspace(g) for g in GRIDS)
-    assert (a.shape, b.shape) == (GRIDS[0].kshape, GRIDS[1].kshape)
-    assert a.dtype == b.dtype == np.complex128
-    assert not np.shares_memory(a, b)
-    assert spectral._workspace(GridSpec(8, 8, 8)) is a
 
 
 def test_cube_derivative_is_the_truncated_product_after_any_use():
@@ -552,31 +531,23 @@ def inv_inputs(grid):
 
 @pytest.mark.parametrize("grid", INV_GRIDS, ids=grid_id)
 def test_inv_matches_irfftn(grid):
-    ws = spectral._workspace(grid)
     for name, c in inv_inputs(grid).items():
         kept = c.copy()
         out = inv(grid, c)
         assert_same_bits(out, ref_inv(grid, c))
         assert_same_bits(c, kept)
-        assert not np.shares_memory(out, ws), name
-        np.copyto(ws, c)
-        out = inv(grid, ws)
-        assert_same_bits(out, ref_inv(grid, c))
-        assert not np.shares_memory(out, ws), name
+        assert not np.shares_memory(out, c), name
 
 
 @pytest.mark.parametrize("grid", INV_GRIDS, ids=grid_id)
 def test_inv_leaves_every_array_but_the_cube_untouched(grid):
-    # only the cube array of cube_derivative is consumed; the workspace is a
-    # product buffer that still holds its spectrum after the call
-    ws = spectral._workspace(grid)
+    # only the cube array of cube_derivative is consumed
     for name, c in inv_inputs(grid).items():
-        np.copyto(ws, c)
         strided = np.asfortranarray(c)
-        for arg in (c, ws, strided):
-            kept = [a.copy() for a in (c, ws, strided)]
+        for arg in (c, strided):
+            kept = [a.copy() for a in (c, strided)]
             out = inv(grid, arg)
-            for a, before in zip((c, ws, strided), kept):
+            for a, before in zip((c, strided), kept):
                 assert_same_bits(a, before)
                 assert not np.shares_memory(out, a), name
 

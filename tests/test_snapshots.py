@@ -82,12 +82,13 @@ def test_a_read_state_lies_inside_the_cube_with_zero_mean(tmp_path):
 
 
 def noise_file(tmp_path, mean):
-    """A snapshot of white noise (modes up to Nyquist) plus ``mean``."""
-    grid = GridSpec(16, 8, 8)
-    values = np.random.default_rng(4).standard_normal(grid.shape)
+    """A snapshot of white noise (modes up to Nyquist) plus ``mean``, written
+    as raw bytes in the documented layout: no State holds such samples."""
+    values = np.random.default_rng(4).standard_normal((8, 8, 16))
     values += mean - np.mean(values)
     path = tmp_path / "noise.qg3d"
-    write_snapshot(State(SpectralField(grid, fwd(grid, values)), 0.75, PhysicsParams()), path)
+    header = struct.pack("<4sI3Q7d", b"QG3D", 1, 16, 8, 8, *[2.0 * np.pi] * 3, 1.0, 1.0, 0.0, 0.75)
+    path.write_bytes(header + values.astype("<f8").tobytes())
     return path
 
 

@@ -246,3 +246,22 @@ def test_run_rejects_a_non_finite_t_end(t_end):
 def test_observer_rejects_a_non_positive_or_non_finite_interval(every):
     with pytest.raises(ValueError, match="observer interval"):
         Observer(lambda s: None, every=every)
+
+
+@pytest.mark.parametrize("grid", [GridSpec(8, 8, 8), GridSpec(16, 8, 4)], ids=["8^3", "16x8x4"])
+def test_state_refuses_coefficients_outside_the_two_thirds_cube(grid):
+    # one spot in each region that fwd(..., truncate=True) zeroes: the x
+    # columns, the z planes and the y rows beyond n/3
+    zlo, zhi, lo, hi, kx = grid.dealias_bounds
+    inside = make_random(grid, -3.0, 1.0, 2).q_hat.coeffs
+    spots = [(0, 1, kx), (zlo, 1, 1), (1, lo, 1)]
+    for spot in spots:
+        c = inside.copy()
+        c[spot] = 1e-17
+        with pytest.raises(ValueError, match="two-thirds cube"):
+            State(SpectralField(grid, c), 0.0, PhysicsParams())
+    # a value test: the same spots holding -0.0 are accepted
+    c = inside.copy()
+    for spot in spots:
+        c[spot] = -0.0
+    assert State(SpectralField(grid, c), 0.0, PhysicsParams()).q_hat.coeffs is c
