@@ -229,7 +229,6 @@ def _check_exit(results: list[CheckResult]) -> int:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    out = _output_dir(cfg)
     if args.restart:
         state, meta = read_checkpoint(args.restart)
         if meta.get("config_sha256") not in (None, config_digest(cfg)):
@@ -238,6 +237,8 @@ def _cmd_run(args) -> int:
         _eprint(f"restarting from t = {state.t:.6g}")
     else:
         state = build_initial_state(cfg)
+    # made only once the start state stands, so a bad one leaves no directory
+    out = _output_dir(cfg)
     outcome = _simulate(cfg, state, out)
     if outcome is None:
         return 2
@@ -248,9 +249,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config, args.seed)
+    state = build_initial_state(cfg)
     out = _output_dir(cfg)
     results = neutrality_checks(grid_spec(cfg), physics_params(cfg), range(10))
-    outcome = _simulate(cfg, build_initial_state(cfg), out)
+    outcome = _simulate(cfg, state, out)
     if outcome is None:
         return 2
     return _check_exit(results + _evaluate_checks(cfg, outcome[1]))

@@ -21,12 +21,14 @@ from .errors import InsufficientHistoryError
 from .grid import GridSpec
 from .initial import make_rossby
 from .spectral import (
+    Pool,
     SpectralField,
     cube_derivative,
     fwd,
     inner_product,
     inv,
     l2_norm,
+    pool_for,
     sobolev_norm,
     solve_stratified_poisson,
 )
@@ -114,14 +116,17 @@ class CheckResult:
         return cls(name, lhs, rhs, slack, slack >= -tolerance, tolerance)
 
 
-def _lp_raw(cell_volume: float, values: np.ndarray, p: float) -> float:
-    return _norms(cell_volume, values, p)[0]
+def _lp_raw(cell_volume: float, values: np.ndarray, p: float, *, scratch=None) -> float:
+    return _norms(cell_volume, values, p, scratch=scratch)[0]
 
 
-def _norms(cell_volume: float, values: np.ndarray, *ps: float) -> list[float]:
-    """The Lp norms of the grid values for each p (>= 1 or inf), from one
-    array of |values|."""
-    magnitude = np.abs(values)
+def _norms(cell_volume: float, values: np.ndarray, *ps: float, scratch=None) -> list[float]:
+    """The Lp norms of the grid values for each p (>= 1 or inf).
+
+    ``values`` is overwritten with |values|, and |values|^p is formed in
+    ``scratch``, an array of the same shape, or in a new one if it is None.
+    """
+    magnitude = np.abs(values, out=values)
     out = []
     for p in ps:
         if p == math.inf:
@@ -129,34 +134,42 @@ def _norms(cell_volume: float, values: np.ndarray, *ps: float) -> list[float]:
             continue
         if p < 1:
             raise ValueError(f"p must be >= 1 or inf, got {p}")
+        if scratch is None:
+            scratch = np.empty_like(magnitude)
         # |f|^p can overflow on a diverging state; inf is the right saturation
         with np.errstate(over="ignore"):
-            out.append(float((np.sum(magnitude ** p) * cell_volume) ** (1.0 / p)))
+            np.power(magnitude, p, out=scratch)
+            out.append(float((np.sum(scratch) * cell_volume) ** (1.0 / p)))
     return out
 
 
-def _gradient_magnitude(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """|grad f| = sqrt(fx * fx + fy * fy + fz * fz) on the grid."""
-    out = inv(grid, cube_derivative(grid, coeffs, "x"))
+def _gradient_magnitude(grid: GridSpec, coeffs: np.ndarray, pool: Pool) -> np.ndarray:
+    """|grad f| = sqrt(fx * fx + fy * fy + fz * fz) on the grid, in the
+    pool's ``real(0)``; ``real(1)`` holds each further component."""
+    out = inv(grid, cube_derivative(grid, coeffs, "x"), out=pool.real(0))
     out *= out
+    comp = pool.real(1)
     for axis in "yz":
-        comp = inv(grid, cube_derivative(grid, coeffs, axis))
+        inv(grid, cube_derivative(grid, coeffs, axis), out=comp)
         comp *= comp
         out += comp
     return np.sqrt(out, out=out)
 
 
-def _hessian_magnitude(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+def _hessian_magnitude(grid: GridSpec, coeffs: np.ndarray, pool: Pool) -> np.ndarray:
     """Frobenius norm of the Hessian on the grid, off-diagonal entries
-    counted twice."""
-    h2 = np.zeros(grid.shape)
-    term = np.empty(grid.shape)
+    counted twice, in the pool's ``real(0)``; ``real(1)`` and ``real(2)``
+    hold each entry."""
+    h2 = pool.real(0)
+    h2.fill(0.0)
+    term = pool.real(1)
+    comp = pool.real(2)
     for ax1, ax2, mult in (
         ("x", "x", 1.0), ("y", "y", 1.0), ("z", "z", 1.0),
         ("x", "y", 2.0), ("x", "z", 2.0), ("y", "z", 2.0),
     ):
         # the operand order of derivative(derivative(fh, ax1), ax2)
-        comp = inv(grid, cube_derivative(grid, coeffs, ax1, ax2))
+        inv(grid, cube_derivative(grid, coeffs, ax1, ax2), out=comp)
         # h2 += mult * comp * comp, without its two temporaries
         np.multiply(mult, comp, out=term)
         term *= comp
@@ -168,9 +181,10 @@ def record(state: State, m: int = 4) -> DiagnosticsRecord:
     """Compute every monitored norm from the prognostic coefficients.
 
     m sets the Sobolev monitoring order: the scalar is tracked in H^(m-1)
-    and the velocity in H^m.  Each field on the grid is reduced to its norms
-    and dropped before the next one is formed, and squares are taken in
-    place, so few grid arrays are alive at a time.
+    and the velocity in H^m.  The fields on the grid are formed in the
+    pool's ``real(0)`` to ``real(2)``, each reduced to its norms before its
+    array is reused, with |f|^p in ``real(3)``; squares and |f| are taken
+    in place.  The streamfunction is the pool's ``half("psi")``.
 
     A state lies inside the two-thirds cube, and so does every spectrum
     derived from it: the 19 spectra are formed in the cube array, which
@@ -180,44 +194,44 @@ def record(state: State, m: int = 4) -> DiagnosticsRecord:
     q_hat = state.q_hat
     F = state.params.F
     dv = grid.cell_volume
-    psi = solve_stratified_poisson(q_hat, F).coeffs
+    pool = pool_for(grid)
+    psi = solve_stratified_poisson(q_hat, F, out=pool.half("psi")).coeffs
+    scratch = pool.real(3)
 
-    def velocity(axis):
-        # H^m norm and grid values of a velocity component, up to sign: v1 =
-        # -psi_y enters only squared
+    def velocity(axis, i):
+        # H^m norm and grid values, in real(i), of a velocity component, up
+        # to sign: v1 = -psi_y enters only squared
         vh = cube_derivative(grid, psi, axis)
-        return sobolev_norm(SpectralField(grid, vh), m), inv(grid, vh)
+        return sobolev_norm(SpectralField(grid, vh), m), inv(grid, vh, out=pool.real(i))
 
-    q = inv(grid, cube_derivative(grid, q_hat.coeffs))
-    q_l2, q_l4, q_l6, q_linf = _norms(dv, q, 2, 4, 6, math.inf)
-    del q
+    q = inv(grid, cube_derivative(grid, q_hat.coeffs), out=pool.real(0))
+    q_l2, q_l4, q_l6, q_linf = _norms(dv, q, 2, 4, 6, math.inf, scratch=scratch)
 
-    hm_v2, v2 = velocity("x")
-    v2_l6, v2_linf = _norms(dv, v2, 6, math.inf)
+    hm_v2, v2 = velocity("x", 0)
+    # v2 becomes |v2|, whose square is that of v2
+    v2_l6, v2_linf = _norms(dv, v2, 6, math.inf, scratch=scratch)
     # |v|^2 = (v1 * v1 + v2 * v2) + v3 * v3, each square formed in place
-    hm_v1, vh_sq = velocity("y")
+    hm_v1, vh_sq = velocity("y", 1)
     vh_sq *= vh_sq
     v2 *= v2
     vh_sq += v2
-    del v2
-    hm_v3, v3_sq = velocity("z")
+    hm_v3, v3_sq = velocity("z", 0)
     v3_sq *= v3_sq
-    vmag = np.add(vh_sq, v3_sq)
+    vmag = np.add(vh_sq, v3_sq, out=pool.real(2))
     v_linf = _lp_raw(dv, np.sqrt(vmag, out=vmag), math.inf)
-    del vmag
     # the conserved energy weights the vertical component by F^2
     v3_sq *= F * F
     vh_sq += v3_sq
-    del v3_sq
-    v_l2 = _lp_raw(dv, np.sqrt(vh_sq, out=vh_sq), 2)
-    del vh_sq
+    v_l2 = _lp_raw(dv, np.sqrt(vh_sq, out=vh_sq), 2, scratch=scratch)
 
-    dq_l2, dq_l3, dq_l4 = _norms(dv, _gradient_magnitude(grid, q_hat.coeffs), 2, 3, 4)
-    d2q_l3 = _lp_raw(dv, _hessian_magnitude(grid, q_hat.coeffs), 3)
+    dq_l2, dq_l3, dq_l4 = _norms(
+        dv, _gradient_magnitude(grid, q_hat.coeffs, pool), 2, 3, 4, scratch=scratch
+    )
+    d2q_l3 = _lp_raw(dv, _hessian_magnitude(grid, q_hat.coeffs, pool), 3, scratch=scratch)
     # v = (-psi_y, psi_x, psi_z), so the sum of (d_j v_i)^2 over all nine
     # entries is the Hessian of psi with the off-diagonal entries twice
     grad_v_linf, grad_v_l2, grad_v_l4, grad_v_l6 = _norms(
-        dv, _hessian_magnitude(grid, psi), math.inf, 2, 4, 6
+        dv, _hessian_magnitude(grid, psi, pool), math.inf, 2, 4, 6, scratch=scratch
     )
 
     return DiagnosticsRecord(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .grid import GridSpec
-from .spectral import SpectralField, cube_derivative, fwd, inv, solve_stratified_poisson
+from .spectral import SpectralField, cube_derivative, fwd, inv, pool_for, solve_stratified_poisson
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,20 @@ class Forcing:
 NO_FORCING = Forcing()
 
 
+def abs_max(values: np.ndarray) -> float:
+    """max|values| with the bits of ``np.max(np.abs(values))``, without the
+    |.| array: the larger of the maximum and the negated minimum, whose
+    abs() turns a -0.0 of an all-zero field into +0.0."""
+    return abs(float(max(np.max(values), -np.min(values))))
+
+
 def jacobian_raw(
-    grid: GridSpec, psi_c: np.ndarray, q_c: np.ndarray, *, maxima: Optional[list] = None
+    grid: GridSpec,
+    psi_c: np.ndarray,
+    q_c: np.ndarray,
+    *,
+    maxima: Optional[list] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Dealiased pseudo-spectral J(psi, q) = psi_x q_y - psi_y q_x, raw arrays.
 
@@ -85,22 +97,25 @@ def jacobian_raw(
     cube array, so only the kept 8/27 of the half spectrum is multiplied and
     ``inv`` skips its zero test.  The truncation comes from the block
     restriction, by the grid's own ``dealias_mask``: full-spectrum inputs
-    are truncated too.
+    are truncated too.  The four derivatives on the grid are the pool's
+    ``real(0)`` to ``real(3)``; the result goes to ``out`` if given, else to
+    a new array.
 
     With a ``maxima`` list, max|psi_y| and max|psi_x| on the grid are
     appended to it: the velocity maxima of the CFL bound, exact when psi
     lies inside the cube.
     """
-    psi_x = inv(grid, cube_derivative(grid, psi_c, "x"))
-    psi_y = inv(grid, cube_derivative(grid, psi_c, "y"))
+    pool = pool_for(grid)
+    psi_x = inv(grid, cube_derivative(grid, psi_c, "x"), out=pool.real(0))
+    psi_y = inv(grid, cube_derivative(grid, psi_c, "y"), out=pool.real(1))
     if maxima is not None:
-        maxima += (float(np.max(np.abs(psi_y))), float(np.max(np.abs(psi_x))))
-    q_x = inv(grid, cube_derivative(grid, q_c, "x"))
-    q_y = inv(grid, cube_derivative(grid, q_c, "y"))
+        maxima += (abs_max(psi_y), abs_max(psi_x))
+    q_x = inv(grid, cube_derivative(grid, q_c, "x"), out=pool.real(2))
+    q_y = inv(grid, cube_derivative(grid, q_c, "y"), out=pool.real(3))
     psi_x *= q_y
     psi_y *= q_x
     psi_x -= psi_y
-    jac = fwd(grid, psi_x, truncate=True)
+    jac = fwd(grid, psi_x, truncate=True, out=out)
     jac[0, 0, 0] = 0.0
     return jac
 
@@ -113,15 +128,16 @@ def tendency_raw(
     forcing: Forcing = NO_FORCING,
     *,
     maxima: Optional[list] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """dq/dt coefficients without the viscous term: the time integrator
     applies the stiff diffusion exactly, through an integrating factor.
-    ``maxima`` is handed to ``jacobian_raw``."""
-    psi_c = solve_stratified_poisson(SpectralField(grid, q_c), params.F).coeffs
-    if maxima is None:
-        out = jacobian_raw(grid, psi_c, q_c)
-    else:
-        out = jacobian_raw(grid, psi_c, q_c, maxima=maxima)
+    ``maxima`` and ``out`` are handed to ``jacobian_raw``; the
+    streamfunction is the pool's ``half("psi")``."""
+    psi_c = solve_stratified_poisson(
+        SpectralField(grid, q_c), params.F, out=pool_for(grid).half("psi")
+    ).coeffs
+    out = jacobian_raw(grid, psi_c, q_c, maxima=maxima, out=out)
     # negating the float64 view flips the same sign bits as a complex negate,
     # at a fraction of its cost
     np.negative(out.view(np.float64), out=out.view(np.float64))
@@ -135,4 +151,3 @@ def tendency_raw(
         out += forcing.spectral(grid, t)
     out[0, 0, 0] = 0.0
     return out
-

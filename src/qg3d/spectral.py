@@ -5,6 +5,14 @@ input, except that ``inv`` consumes the cube array of ``cube_derivative``.
 The transform pair uses the "forward" normalization, so the zero
 coefficient of a transformed field is exactly its box mean.
 
+``fwd`` and ``inv`` call the pocketfft kernels that ``scipy.fft``'s
+wrappers end in (``r2c``, ``c2c``, ``c2r``), with the normalization codes
+and the worker count (``scipy.fft.get_workers()``) the wrappers would pass,
+so their bits are those of ``scipy.fft`` without its per-call dispatch.
+The kernels' signatures were checked against scipy 1.17.1; this is the one
+module that imports ``scipy.fft``.  Both take an ``out=`` array, as
+``solve_stratified_poisson`` does; without one each returns a new array.
+
 One half spectrum is kept per grid, the cube array of ``cube_derivative``.
 It holds the spectra that the Jacobian, the CFL bound and the diagnostics
 transform, and is +0.0 outside the two-thirds cube by construction.  A
@@ -16,15 +24,22 @@ spectrum is taken before it.
 
 ``fwd(..., truncate=True)`` computes only the kept cube of the forward
 transform, for results the two-thirds rule truncates anyway.
+
+The grid arrays the time step and the diagnostics work in come from a
+``Pool``: ``run`` holds one for its grid while it runs (``hold_pool``), and
+``pool_for(grid)`` hands it out, or a new pool outside a run.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as sfft
+from scipy.fft import get_workers
+from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
 from .errors import GridMismatchError, NonZeroMeanError
 from .grid import GridSpec
@@ -66,7 +81,19 @@ def require_same_grid(*fields) -> GridSpec:
 
 # ---- raw-array transform helpers used by the hot loops -------------------
 
-def fwd(grid: GridSpec, values: np.ndarray, *, truncate: bool = False) -> np.ndarray:
+# the kernels' ``inorm`` codes for norm="forward", as scipy.fft maps it: the
+# forward transform divides by the transformed length, the inverse does not
+_FORWARD_NORM = 2
+_INVERSE_NORM = 0
+
+
+def fwd(
+    grid: GridSpec,
+    values: np.ndarray,
+    *,
+    truncate: bool = False,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Half spectrum of a real field: the bits of ``scipy.fft.rfftn``.
 
     With ``truncate`` every coefficient outside the two-thirds cube comes
@@ -75,39 +102,51 @@ def fwd(grid: GridSpec, values: np.ndarray, *, truncate: bool = False) -> np.nda
     columns and the y pass on the kept z planes of those columns, each in
     place in the x pass's output.  That order is byte-equal to ``rfftn``;
     the y pass before the z pass is not.
+
+    The result is written to ``out`` (C-contiguous complex128 of the
+    grid's ``kshape``, not overlapping ``values``) when one is given.
     """
+    values = np.asarray(values, dtype=np.float64)
+    workers = get_workers()
     if not truncate:
-        return sfft.rfftn(values, norm="forward")
+        return _pocketfft.r2c(values, (0, 1, 2), True, _FORWARD_NORM, out, workers)
     zlo, zhi, lo, hi, kx = grid.dealias_bounds
-    out = sfft.rfft(values, axis=2, norm="forward")
-    sfft.fft(out[:, :, :kx], axis=0, norm="forward", overwrite_x=True)
+    out = _pocketfft.r2c(values, (2,), True, _FORWARD_NORM, out, workers)
+    cols = out[:, :, :kx]
+    _pocketfft.c2c(cols, (0,), True, _FORWARD_NORM, cols, workers)
     for planes in (out[:zlo, :, :kx], out[zhi:, :, :kx]):
-        sfft.fft(planes, axis=1, norm="forward", overwrite_x=True)
+        _pocketfft.c2c(planes, (1,), True, _FORWARD_NORM, planes, workers)
     out[:, :, kx:] = 0.0
     out[zlo:zhi, :, :kx] = 0.0
     out[:, lo:hi, :kx] = 0.0
     return out
 
 
-def inv(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+def inv(grid: GridSpec, coeffs: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Real field of a half spectrum: the bits of ``scipy.fft.irfftn``.
 
-    Any spectrum but the cube array of ``cube_derivative`` goes to
-    ``irfftn`` and is left as it was.  The cube array holds +0.0 outside
-    the two-thirds cube by construction, so ``irfftn``'s passes run on it in
-    place and skip the lines that are zero before and after their transform:
-    the z pass skips the dropped y rows and x columns, the y pass the dropped
-    x columns.  Its contents are then lost.
+    Any spectrum but the cube array of ``cube_derivative`` is transformed
+    on all three axes at once and left as it was.  The cube array holds
+    +0.0 outside the two-thirds cube by construction, so ``irfftn``'s passes
+    run on it in place and skip the lines that are zero before and after
+    their transform: the z pass skips the dropped y rows and x columns, the
+    y pass the dropped x columns.  Its contents are then lost.
+
+    The result is written to ``out`` (C-contiguous float64 of the grid's
+    ``shape``) when one is given.
     """
+    workers = get_workers()
     bounds = grid.dealias_bounds
     ws = _cube(grid, bounds)[0]
     if coeffs is not ws:
-        return sfft.irfftn(coeffs, s=grid.shape, norm="forward")
+        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        return _pocketfft.c2r(coeffs, (0, 1, 2), grid.nx, False, _INVERSE_NORM, out, workers)
     _, _, lo, hi, kx = bounds
     for lines in (ws[:, :lo, :kx], ws[:, hi:, :kx]):
-        sfft.ifft(lines, axis=0, norm="forward", overwrite_x=True)
-    sfft.ifft(ws[:, :, :kx], axis=1, norm="forward", overwrite_x=True)
-    return sfft.irfft(ws, n=grid.nx, axis=2, norm="forward")
+        _pocketfft.c2c(lines, (0,), False, _INVERSE_NORM, lines, workers)
+    cols = ws[:, :, :kx]
+    _pocketfft.c2c(cols, (1,), False, _INVERSE_NORM, cols, workers)
+    return _pocketfft.c2r(ws, (2,), grid.nx, False, _INVERSE_NORM, out, workers)
 
 
 def cube_derivative(grid: GridSpec, coeffs: np.ndarray, *axes: str) -> np.ndarray:
@@ -164,6 +203,72 @@ def _cube(grid: GridSpec, bounds: tuple[int, int, int, int, int]):
     return np.zeros(grid.kshape, dtype=np.complex128), tuple(blocks)
 
 
+# ---- the pool of grid arrays ----------------------------------------------
+
+
+class Pool:
+    """Grid arrays reused across calls instead of allocated per call: real
+    grid arrays (``real(i)``) and complex half spectra (``half(name)``),
+    each made on first use and handed out again on every later one.
+
+    A function takes its slots for the span of its call only, and every
+    caller of it must leave those slots free.  Who takes which:
+
+    - ``half("psi")``: the streamfunction of ``tendency_raw`` and of
+      ``record``;
+    - ``half("stage")``, ``"base"``, ``"k2"``, ``"k3"``, ``"k4"``:
+      ``rk4_step``, across its ``tendency_raw`` calls;
+    - ``real(0)`` to ``real(3)``: the four derivatives of ``jacobian_raw``,
+      and the grid fields and the |f|^p scratch of ``record``.
+
+    ``record`` runs between steps and a forcing is evaluated after the
+    Jacobian, so those never overlap.
+    """
+
+    def __init__(self, grid: GridSpec):
+        self.grid = grid
+        self._real: dict[int, np.ndarray] = {}
+        self._half: dict[str, np.ndarray] = {}
+
+    def real(self, i: int) -> np.ndarray:
+        a = self._real.get(i)
+        if a is None:
+            a = self._real[i] = np.empty(self.grid.shape)
+        return a
+
+    def half(self, name: str) -> np.ndarray:
+        a = self._half.get(name)
+        if a is None:
+            a = self._half[name] = np.empty(self.grid.kshape, dtype=np.complex128)
+        return a
+
+
+# the pools held by ``hold_pool`` in this thread, innermost last
+_held = threading.local()
+
+
+def pool_for(grid: GridSpec) -> Pool:
+    """The innermost held pool if it is for ``grid``'s shape, else a new
+    pool, which lives as long as the caller keeps it."""
+    pools = getattr(_held, "pools", None)
+    if pools and pools[-1].grid.shape == grid.shape:
+        return pools[-1]
+    return Pool(grid)
+
+
+@contextmanager
+def hold_pool(grid: GridSpec):
+    """Hold a new pool for ``grid`` for the block, in which ``pool_for(grid)``
+    returns it; it is dropped when the block ends or raises."""
+    pools = _held.__dict__.setdefault("pools", [])
+    held = Pool(grid)
+    pools.append(held)
+    try:
+        yield held
+    finally:
+        pools.pop()
+
+
 # ---- spectral-space operators ---------------------------------------------
 
 _AXES = {"x": "ikx", "y": "iky", "z": "ikz"}
@@ -183,13 +288,17 @@ def derivative(fh: SpectralField, axis: str) -> SpectralField:
     return SpectralField(fh.grid, fh.coeffs * mult)
 
 
-def solve_stratified_poisson(q_hat: SpectralField, F: float) -> SpectralField:
+def solve_stratified_poisson(
+    q_hat: SpectralField, F: float, *, out: np.ndarray | None = None
+) -> SpectralField:
     """Invert the stratified Laplacian with the zero-mean gauge.
 
     The right-hand side must have (numerically) no mean: the zero mode is
     compared against 1e-12 times the L2 norm of the field and a
     NonZeroMeanError is raised when it is larger.  The zero mode of the
     result is set to zero, which pins the otherwise arbitrary constant.
+    The coefficients are written to ``out`` (C-contiguous complex128 of the
+    grid's ``kshape``) when one is given.
     """
     grid = q_hat.grid
     q = np.ascontiguousarray(q_hat.coeffs)
@@ -202,7 +311,8 @@ def solve_stratified_poisson(q_hat: SpectralField, F: float) -> SpectralField:
             )
     # numpy divides a complex by a real as a product with the reciprocal, so
     # multiplying the real and imaginary parts by 1/symbol gives the same bits
-    out = np.empty_like(q)
+    if out is None:
+        out = np.empty_like(q)
     np.multiply(q.view(np.float64), _inverse_symbol(grid, F), out=out.view(np.float64))
     out[0, 0, 0] = 0.0
     return SpectralField(grid, out)

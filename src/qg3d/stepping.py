@@ -16,10 +16,18 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .dynamics import NO_FORCING, Forcing, PhysicsParams, tendency_raw
+from .dynamics import NO_FORCING, Forcing, PhysicsParams, abs_max, tendency_raw
 from .errors import NonFiniteError
 from .grid import GridSpec
-from .spectral import SpectralField, _in_cube, cube_derivative, inv, solve_stratified_poisson
+from .spectral import (
+    SpectralField,
+    _in_cube,
+    cube_derivative,
+    hold_pool,
+    inv,
+    pool_for,
+    solve_stratified_poisson,
+)
 
 
 @dataclass(frozen=True)
@@ -96,8 +104,8 @@ def cfl_dt(
     if maxima is None:
         psi_c = solve_stratified_poisson(state.q_hat, state.params.F).coeffs
         # v1 = -psi_y; negation commutes exactly with the transform and |.|
-        m1 = float(np.max(np.abs(inv(grid, cube_derivative(grid, psi_c, "y")))))
-        m2 = float(np.max(np.abs(inv(grid, cube_derivative(grid, psi_c, "x")))))
+        m1 = abs_max(inv(grid, cube_derivative(grid, psi_c, "y")))
+        m2 = abs_max(inv(grid, cube_derivative(grid, psi_c, "x")))
     else:
         m1, m2 = maxima
     bound = np.inf
@@ -125,7 +133,9 @@ def rk4_step(
     With nu > 0 the stages run on the integrating-factor variable, so the
     viscous decay is applied exactly per mode and never restricts dt.
     ``k1`` is the tendency at the start of the step when the caller has it
-    (it does not depend on dt); the step takes it over and changes it.
+    (it does not depend on dt); the step takes it over and changes it: it
+    becomes the new state's coefficients.  The stage, ``base`` and k2-k4
+    are the pool's half spectra of those names.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -134,9 +144,10 @@ def rk4_step(
     q = state.q_hat.coeffs
     t = state.t
     viscous = p.nu != 0.0
+    pool = pool_for(grid)
 
-    def rhs(q_c: np.ndarray, t_c: float) -> np.ndarray:
-        return tendency_raw(grid, q_c, t_c, p, forcing)
+    def rhs(q_c: np.ndarray, t_c: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return tendency_raw(grid, q_c, t_c, p, forcing, out=out)
 
     # Each stage is formed in place, in one buffer and the k arrays, by the
     # operations of these expressions in their order of evaluation, so every
@@ -153,21 +164,21 @@ def rk4_step(
     with np.errstate(over="ignore", invalid="ignore"):
         if k1 is None:
             k1 = rhs(q, t)
-        stage = np.multiply(k1, h)
+        stage = np.multiply(k1, h, out=pool.half("stage"))
         stage += q
         if viscous:
             e_half, e_full = _viscous_factors(grid, p.nu, dt)
             stage *= e_half
-            k2 = rhs(stage, t + h)
-            base = np.multiply(e_half, q)
+            k2 = rhs(stage, t + h, pool.half("k2"))
+            base = np.multiply(e_half, q, out=pool.half("base"))
             np.multiply(k2, h, out=stage)
             stage += base
-            k3 = rhs(stage, t + h)
+            k3 = rhs(stage, t + h, pool.half("k3"))
             np.multiply(e_full, q, out=base)
             np.multiply(e_half, k3, out=stage)
             stage *= dt
             stage += base
-            k4 = rhs(stage, t + dt)
+            k4 = rhs(stage, t + dt, pool.half("k4"))
             k2 += k3
             k2 *= e_half
             k2 *= 2.0
@@ -175,13 +186,13 @@ def rk4_step(
             k1 += k2
         else:
             base = q
-            k2 = rhs(stage, t + h)
+            k2 = rhs(stage, t + h, pool.half("k2"))
             np.multiply(k2, h, out=stage)
             stage += q
-            k3 = rhs(stage, t + h)
+            k3 = rhs(stage, t + h, pool.half("k3"))
             np.multiply(k3, dt, out=stage)
             stage += q
-            k4 = rhs(stage, t + dt)
+            k4 = rhs(stage, t + dt, pool.half("k4"))
             k2 *= 2.0
             k1 += k2
             k3 *= 2.0
@@ -244,15 +255,16 @@ def run(
     k * every > t0 (and all observers see the initial state), so their
     samples are equally spaced regardless of what the CFL controller does in
     between, and a run restarted from t0 lands on the direct run's times.
+
+    The run holds one pool of grid arrays (``hold_pool``) for the steps and
+    for the ``record`` calls of its observers, and drops it when it returns
+    or raises.
     """
     if not math.isfinite(t_end):
         raise ValueError(f"t_end = {t_end} is not finite")
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} is before current time {state.t}")
     obs = [o if isinstance(o, Observer) else Observer(o) for o in observers]
-    for o in obs:
-        o.callback(state)
-
     tiny = 1e-12 * max(1.0, abs(t_end))
     next_index = [
         None if o.every is None else _first_event_index(state.t + tiny, o.every)
@@ -262,22 +274,25 @@ def run(
     def next_event(i: int) -> float:
         return next_index[i] * obs[i].every
 
-    while state.t < t_end - tiny:
-        dt_want, k1 = _requested_dt(state, control, forcing)
-        target = t_end
-        for i, o in enumerate(obs):
-            if o.every is not None:
-                target = min(target, next_event(i))
-        if target <= state.t + dt_want * (1.0 + 1e-9):
-            state = rk4_step(state, target - state.t, forcing, k1=k1)
-            state = replace(state, t=target)  # land exactly, no drift
-        else:
-            state = rk4_step(state, dt_want, forcing, k1=k1)
-        for i, o in enumerate(obs):
-            if o.every is None:
-                o.callback(state)
+    with hold_pool(state.grid):
+        for o in obs:
+            o.callback(state)
+        while state.t < t_end - tiny:
+            dt_want, k1 = _requested_dt(state, control, forcing)
+            target = t_end
+            for i, o in enumerate(obs):
+                if o.every is not None:
+                    target = min(target, next_event(i))
+            if target <= state.t + dt_want * (1.0 + 1e-9):
+                state = rk4_step(state, target - state.t, forcing, k1=k1)
+                state = replace(state, t=target)  # land exactly, no drift
             else:
-                while next_event(i) <= state.t + tiny:
+                state = rk4_step(state, dt_want, forcing, k1=k1)
+            for i, o in enumerate(obs):
+                if o.every is None:
                     o.callback(state)
-                    next_index[i] += 1
-    return state
+                else:
+                    while next_event(i) <= state.t + tiny:
+                        o.callback(state)
+                        next_index[i] += 1
+        return state

@@ -168,35 +168,55 @@ def wrap_transforms(monkeypatch):
     return calls
 
 
+def out_arrays(calls, name):
+    """The ``out=`` argument of each call of ``name``, None where it is
+    None; any other keyword but ``truncate=True`` fails the test."""
+    outs = []
+    for called, _, kwargs in calls:
+        if called == name:
+            rest = {k: v for k, v in kwargs.items() if k != "out"}
+            assert rest == ({"truncate": True} if name == "fwd" else {})
+            outs.append(kwargs.get("out"))
+    return outs
+
+
 def test_a_fixed_step_makes_the_transform_calls_the_benchmark_counts(monkeypatch):
-    # bench/spans.py reads the array from args[1]; bench/test_bench.py counts
-    # 16 inv and 4 fwd calls per step
+    # bench/spans.py reads the array from args[1] and counts the bytes of it
+    # and of the result, which is the out= array when one is given;
+    # bench/test_bench.py counts 16 inv and 4 fwd calls per step
     calls = wrap_transforms(monkeypatch)
     state = make_random(GridSpec(16, 16, 16), -3.0, 1.0, 5, band=(2, 5))
     stepping.run(state, 1e-3, stepping.StepControl(mode="fixed", dt_fixed=1e-3))
     names = [name for name, _, _ in calls]
     assert (names.count("inv"), names.count("fwd")) == (16, 4)
     assert all(len(args) == 2 and isinstance(args[1], np.ndarray) for _, args, _ in calls)
-    assert [kwargs for name, _, kwargs in calls if name == "fwd"] == [{"truncate": True}] * 4
-    assert [kwargs for name, _, kwargs in calls if name == "inv"] == [{}] * 16
+    # k1 becomes the new state, so only its transform gets a new array
+    fwd_outs = out_arrays(calls, "fwd")
+    assert fwd_outs[0] is None
+    assert all(isinstance(out, np.ndarray) for out in fwd_outs[1:] + out_arrays(calls, "inv"))
 
 
 def test_record_and_cfl_dt_make_the_inverse_transforms_the_benchmark_counts(monkeypatch):
     # a traced benchmark round counts 19 inv calls per record and 2 per
-    # cfl_dt, each as (grid, array) with the array second
+    # cfl_dt, each as (grid, array) with the array second; record's write
+    # into the pool, cfl_dt's into new arrays
     calls = wrap_transforms(monkeypatch)
     state = make_random(GridSpec(16, 16, 16), -3.0, 1.0, 5, band=(2, 5))
-    for fn, args, count in (
-        (diagnostics.record, (state,), 19),
-        (stepping.cfl_dt, (state, stepping.StepControl()), 2),
+    for fn, args, count, pooled in (
+        (diagnostics.record, (state,), 19, True),
+        (stepping.cfl_dt, (state, stepping.StepControl()), 2, False),
     ):
         calls.clear()
         fn(*args)
         assert [name for name, _, _ in calls] == ["inv"] * count, fn.__name__
         for _, inv_args, kwargs in calls:
-            assert kwargs == {}
             assert len(inv_args) == 2 and inv_args[0] is state.grid
             assert isinstance(inv_args[1], np.ndarray)
+        outs = out_arrays(calls, "inv")
+        if pooled:
+            assert all(isinstance(out, np.ndarray) for out in outs)
+        else:
+            assert [kwargs for _, _, kwargs in calls] == [{}] * count
 
 
 def test_a_cfl_step_asks_cfl_dt_for_its_dt_and_makes_the_counted_calls():
@@ -265,3 +285,28 @@ def test_the_output_directory_is_the_only_environment_setting():
     modules = (ROOT / "src" / "qg3d").glob("*.py")
     names = set().union(*(environment_reads(path) for path in modules))
     assert names == {"QG3D_OUTPUT_DIR"}
+
+
+def fft_imports(path: Path) -> set[str]:
+    """The ``scipy.fft`` modules a module imports or names: ``scipy.fft``
+    itself, or one under it such as its pocketfft kernels."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(ast.unparse(node))
+    return {n for n in names if n == "scipy.fft" or n.startswith("scipy.fft.")}
+
+
+def test_only_spectral_imports_scipy_fft():
+    # spectral calls pocketfft's kernels through a private module of scipy,
+    # whose signatures it was checked against; one owner keeps that in one place
+    found = {path.name: fft_imports(path) for path in (ROOT / "src" / "qg3d").glob("*.py")}
+    assert {name for name, names in found.items() if names} == {"spectral.py"}
+    assert "scipy.fft._pocketfft.pypocketfft" in found["spectral.py"]
+

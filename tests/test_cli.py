@@ -615,7 +615,7 @@ def test_file_ic_with_a_mean_exits_1_before_any_output(tmp_path, monkeypatch, ca
     assert main(["run", cfg]) == 1
     err = capsys.readouterr().err
     assert str(path) in err and "mean" in err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_file_ic_outside_the_cube_snapshots_the_state_it_runs(tmp_path, monkeypatch, capsys):
@@ -710,7 +710,35 @@ def test_rossby_mode_outside_the_cube_exits_1_before_any_output(tmp_path, monkey
     assert main(["run", cfg]) == 1
     assert "qg3d run: error: mode (3, 0, 0) lies outside the two-thirds cube" in (
         capsys.readouterr().err)
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+def test_verify_of_a_mode_outside_the_cube_exits_1_before_any_output(
+    tmp_path, monkeypatch, capsys
+):
+    cfg = write_cfg(tmp_path, "grid.nx = 8\ngrid.ny = 8\ngrid.nz = 8\nic.kind = rossby\n"
+                    "ic.sx = 3\nic.sy = 0\nic.sz = 0\ntime.t_end = 0.01\n")
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["verify", cfg]) == 1
+    assert "qg3d verify: error: mode (3, 0, 0) lies outside the two-thirds cube" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_restart_from_a_corrupt_checkpoint_exits_1_before_any_output(
+    tmp_path, monkeypatch, capsys
+):
+    cfg = write_cfg(tmp_path, RANDOM_8)
+    first = use_out(monkeypatch, tmp_path, "first")
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    checkpoint = first / "checkpoint.qg3d"
+    checkpoint.write_bytes(checkpoint.read_bytes()[:-8])
+    out = use_out(monkeypatch, tmp_path, "restarted")
+    assert main(["run", cfg, "--restart", str(checkpoint)]) == 1
+    err = capsys.readouterr().err
+    assert f"qg3d run: error: {checkpoint}: " in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])

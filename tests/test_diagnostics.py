@@ -223,7 +223,7 @@ def test_neutrality_check_fails_when_the_tendency_ignores_F(monkeypatch):
     # longer conserves the F = 2 energy; at F = 1 the two would agree
     monkeypatch.setattr(
         "qg3d.dynamics.solve_stratified_poisson",
-        lambda q_hat, F: solve_stratified_poisson(q_hat, 1.0),
+        lambda q_hat, F, **kwargs: solve_stratified_poisson(q_hat, 1.0, **kwargs),
     )
     params = PhysicsParams(beta=3.0, nu=0.0, F=2.0)
     enstrophy, energy = neutrality_checks(GridSpec(16, 16, 16), params, range(5))
@@ -234,7 +234,9 @@ def test_neutrality_check_fails_when_the_tendency_ignores_F(monkeypatch):
 def test_neutrality_check_fails_without_dealiasing(monkeypatch):
     # the check's states fill the whole spectrum, so a Jacobian that skips
     # the two-thirds truncation aliases and stops being neutral
-    def untruncated_jacobian(grid, psi_c, q_c):
+    # it takes the callers' keywords and returns a new array, as
+    # jacobian_raw does without out=
+    def untruncated_jacobian(grid, psi_c, q_c, **kwargs):
         psi_x, psi_y = inv(grid, psi_c * grid.ikx), inv(grid, psi_c * grid.iky)
         q_x, q_y = inv(grid, q_c * grid.ikx), inv(grid, q_c * grid.iky)
         jac = fwd(grid, psi_x * q_y - psi_y * q_x)

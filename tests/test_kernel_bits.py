@@ -11,11 +11,18 @@ tested on full spectra, which the Jacobian truncates.  The references below
 are the straightforward array expressions they replace, with
 ``scipy.fft.irfftn`` as the inverse transform, kept as the specification:
 every result must match them byte for byte, not merely to a tolerance.
+
+``fwd`` and ``inv`` call scipy's pocketfft kernels directly, so the tests
+also check that the kernels get scipy's worker count, that a result
+written to an ``out=`` array has the bits of a new one, and that the pool of
+grid arrays ``run`` holds neither aliases a result nor outlives the run.
 """
 
+import contextlib
 import dataclasses
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -23,8 +30,9 @@ import scipy.fft as sfft
 
 from qg3d.diagnostics import DiagnosticsRecord, _lp_raw, record
 from qg3d.dynamics import NO_FORCING, Forcing, PhysicsParams, jacobian_raw, tendency_raw
-from qg3d.errors import NonZeroMeanError
+from qg3d.errors import NonFiniteError, NonZeroMeanError
 from qg3d.grid import GridSpec
+from qg3d.initial import make_random
 from qg3d.spectral import (
     SpectralField,
     derivative,
@@ -35,7 +43,7 @@ from qg3d.spectral import (
     solve_stratified_poisson,
     velocity_spectra,
 )
-from qg3d.stepping import State, StepControl, _viscous_factors, cfl_dt, rk4_step
+from qg3d.stepping import State, StepControl, _viscous_factors, cfl_dt, rk4_step, run
 import qg3d.spectral as spectral
 import qg3d.stepping as stepping
 
@@ -579,3 +587,151 @@ def test_inv_carries_a_nan_outside_the_cube(grid):
     out, ref = inv(grid, c), ref_inv(grid, c)
     assert np.isnan(ref).any()
     assert np.array_equal(out, ref, equal_nan=True)
+
+
+# ---- the kernels' arguments ---------------------------------------------------------
+
+
+def record_kernel_workers(monkeypatch):
+    """Wrap the pocketfft kernels that spectral calls; returns the list of
+    (kernel, nthreads) of each call."""
+    seen = []
+    for name in ("r2c", "c2c", "c2r"):
+        kernel = getattr(spectral._pocketfft, name)
+
+        def recording(*args, _name=name, _kernel=kernel, **kwargs):
+            seen.append((_name, kwargs.get("nthreads", args[-1])))
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(spectral._pocketfft, name, recording)
+    return seen
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_the_kernels_get_scipys_worker_count(monkeypatch, workers):
+    grid = GRIDS[1]
+    coeffs = random_coeffs(grid, 41, dealiased=True)
+    values = np.random.default_rng(42).standard_normal(grid.shape)
+    seen = record_kernel_workers(monkeypatch)
+    with sfft.set_workers(workers) if workers else contextlib.nullcontext():
+        inv(grid, coeffs)
+        inv(grid, spectral.cube_derivative(grid, coeffs, "x"))
+        fwd(grid, values)
+        fwd(grid, values, truncate=True)
+    assert {name for name, _ in seen} == {"r2c", "c2c", "c2r"}
+    assert {n for _, n in seen} == {workers or 1}
+
+
+def test_out_arrays_get_the_bits_of_new_ones():
+    grid = GRIDS[1]
+    coeffs = random_coeffs(grid, 43, dealiased=True)
+    values = np.random.default_rng(44).standard_normal(grid.shape)
+    real = np.full(grid.shape, np.nan)
+    half = np.full(grid.kshape, np.nan, dtype=np.complex128)
+    cases = [
+        (lambda out: inv(grid, coeffs, out=out), real),
+        (lambda out: inv(grid, spectral.cube_derivative(grid, coeffs, "y"), out=out), real),
+        (lambda out: fwd(grid, values, out=out), half),
+        (lambda out: fwd(grid, values, truncate=True, out=out), half),
+        (lambda out: solve_stratified_poisson(SpectralField(grid, coeffs), 0.7, out=out).coeffs,
+         half),
+        (lambda out: jacobian_raw(grid, coeffs, coeffs[::-1].copy(), out=out), half),
+        (lambda out: tendency_raw(grid, coeffs, 0.0, PhysicsParams(beta=0.5), out=out), half),
+    ]
+    for i, (fn, out) in enumerate(cases):
+        out.fill(np.nan)
+        assert fn(out) is out, i
+        fresh = fn(None)
+        assert not np.shares_memory(fresh, out), i
+        assert_same_bits(out, fresh)
+
+
+# ---- the pool of grid arrays --------------------------------------------------------
+
+
+def test_two_steps_from_one_state_in_one_pool_return_distinct_equal_arrays():
+    grid = GRIDS[1]
+    state = make_random(grid, -3.0, 1.0, 7, band=(1, 3))
+    outside = rk4_step(state, 1e-2).q_hat.coeffs
+    with spectral.hold_pool(grid):
+        first = rk4_step(state, 1e-2).q_hat.coeffs
+        second = rk4_step(state, 1e-2).q_hat.coeffs
+    assert not np.shares_memory(first, second)
+    assert_same_bits(first, second)
+    assert_same_bits(first, outside)
+
+
+def test_a_held_tendency_or_jacobian_result_is_untouched_by_a_later_call():
+    grid = GRIDS[1]
+    a, b = random_coeffs(grid, 45, True), random_coeffs(grid, 46, True)
+    params = PhysicsParams(beta=0.5, F=0.7)
+    with spectral.hold_pool(grid):
+        for fn in (lambda q: tendency_raw(grid, q, 0.0, params),
+                   lambda q: jacobian_raw(grid, q, q[::-1].copy())):
+            first = fn(a)
+            kept = first.copy()
+            second = fn(b)
+            assert not np.shares_memory(first, second)
+            assert_same_bits(first, kept)
+
+
+def test_record_in_a_runs_observer_equals_record_after_the_run():
+    grid = GRIDS[1]
+    state = make_random(grid, -3.0, 1.0, 8, band=(1, 3))
+    seen = []
+    run(state, 5e-2, StepControl(mode="fixed", dt_fixed=1e-2),
+        observers=[lambda s: seen.append((s, record(s)))])
+    assert len(seen) == 6
+    for s, during in seen:
+        assert record(s) == during
+
+
+def track_pool_arrays(monkeypatch):
+    """Weak references to every array a pool hands out, and to every pool
+    ``hold_pool`` makes."""
+    refs = []
+    for name in ("real", "half"):
+        original = getattr(spectral.Pool, name)
+
+        def handing_out(self, key, _original=original):
+            array = _original(self, key)
+            refs.append(weakref.ref(array))
+            return array
+
+        monkeypatch.setattr(spectral.Pool, name, handing_out)
+    original_init = spectral.Pool.__init__
+
+    def init(self, grid):
+        original_init(self, grid)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(spectral.Pool, "__init__", init)
+    return refs
+
+
+def test_the_pool_dies_when_the_run_returns(monkeypatch):
+    refs = track_pool_arrays(monkeypatch)
+    state = make_random(GRIDS[0], -3.0, 1.0, 9, band=(1, 3))
+    final = run(state, 3e-2, StepControl(mode="fixed", dt_fixed=1e-2), observers=[record])
+    assert len(refs) > 10
+    assert [r for r in refs if r() is not None] == []
+    assert final.t == 3e-2
+
+
+def test_the_pool_dies_when_the_run_raises(monkeypatch):
+    refs = track_pool_arrays(monkeypatch)
+    state = make_random(GridSpec(16, 16, 1), -1.0, 50.0, 2, band=(2, 5))
+
+    def blow_up():
+        try:
+            run(state, 50.0, StepControl(mode="fixed", dt_fixed=2.0, dt_max=2.0),
+                observers=[record])
+        except NonFiniteError:
+            return True
+        return False
+
+    # the traceback, and the frames it holds, die with the handled error
+    assert blow_up()
+    assert len(refs) > 10
+    assert [r for r in refs if r() is not None] == []
+
