@@ -44,8 +44,6 @@ from .particles import (
 from .snapshots import read_checkpoint, read_snapshot, write_checkpoint, write_snapshot
 from .spectral import (
     SpectralField,
-    dealias,
-    derivative,
     inner_product,
     l2_norm,
     sobolev_norm,
@@ -81,8 +79,6 @@ __all__ = [
     "check_conservation",
     "check_growth_bounds",
     "check_lp_interpolation",
-    "dealias",
-    "derivative",
     "duhamel_residual",
     "evaluate_at_points",
     "inner_product",

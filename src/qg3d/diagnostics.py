@@ -11,7 +11,7 @@ too, once, for both ``qg3d verify``/``qg3d converge`` and the acceptance tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,25 +34,6 @@ from .spectral import (
 )
 from .stepping import State, StepControl, run
 
-#: CSV column order; the header is part of the on-disk contract.
-CSV_COLUMNS = (
-    "t",
-    "v_l2",
-    "q_l2",
-    "q_l4",
-    "q_l6",
-    "q_linf",
-    "v_linf",
-    "v2_l6",
-    "v2_linf",
-    "dq_l2",
-    "dq_l3",
-    "dq_l4",
-    "d2q_l3",
-    "hm_q",
-    "hm_v",
-    "grad_v_linf",
-)
 #: The header of the ratios CSV: "t", then ``monitor_ratios``' columns.
 RATIOS_HEADER = (
     "t",
@@ -99,6 +80,11 @@ class DiagnosticsRecord:
     beta: float
 
 
+#: CSV column order, the record's fields but the last four; the header is
+#: part of the on-disk contract.
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord)[:-4])
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one verified bound: passed iff slack >= -tolerance."""
@@ -114,10 +100,6 @@ class CheckResult:
     def from_bound(cls, name: str, lhs: float, rhs: float, tolerance: float) -> "CheckResult":
         slack = rhs - lhs
         return cls(name, lhs, rhs, slack, slack >= -tolerance, tolerance)
-
-
-def _lp_raw(cell_volume: float, values: np.ndarray, p: float, *, scratch=None) -> float:
-    return _norms(cell_volume, values, p, scratch=scratch)[0]
 
 
 def _norms(cell_volume: float, values: np.ndarray, *ps: float, scratch=None) -> list[float]:
@@ -218,16 +200,16 @@ def record(state: State, m: int = 4) -> DiagnosticsRecord:
     hm_v3, v3_sq = velocity("z", 0)
     v3_sq *= v3_sq
     vmag = np.add(vh_sq, v3_sq, out=pool.real(2))
-    v_linf = _lp_raw(dv, np.sqrt(vmag, out=vmag), math.inf)
+    (v_linf,) = _norms(dv, np.sqrt(vmag, out=vmag), math.inf)
     # the conserved energy weights the vertical component by F^2
     v3_sq *= F * F
     vh_sq += v3_sq
-    v_l2 = _lp_raw(dv, np.sqrt(vh_sq, out=vh_sq), 2, scratch=scratch)
+    (v_l2,) = _norms(dv, np.sqrt(vh_sq, out=vh_sq), 2, scratch=scratch)
 
     dq_l2, dq_l3, dq_l4 = _norms(
         dv, _gradient_magnitude(grid, q_hat.coeffs, pool), 2, 3, 4, scratch=scratch
     )
-    d2q_l3 = _lp_raw(dv, _hessian_magnitude(grid, q_hat.coeffs, pool), 3, scratch=scratch)
+    (d2q_l3,) = _norms(dv, _hessian_magnitude(grid, q_hat.coeffs, pool), 3, scratch=scratch)
     # v = (-psi_y, psi_x, psi_z), so the sum of (d_j v_i)^2 over all nine
     # entries is the Hessian of psi with the off-diagonal entries twice
     grad_v_linf, grad_v_l2, grad_v_l4, grad_v_l6 = _norms(

@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .grid import GridSpec
-from .spectral import SpectralField, cube_derivative, fwd, inv, pool_for, solve_stratified_poisson
+from .spectral import (
+    SpectralField, _truncate, cube_derivative, fwd, inv, pool_for, solve_stratified_poisson
+)
 
 
 @dataclass(frozen=True)
@@ -57,12 +59,13 @@ class Forcing:
     def spectral(self, grid: GridSpec, t: float) -> np.ndarray:
         if self.evaluator is None:
             return np.zeros(grid.kshape, dtype=np.complex128)
-        out = np.asarray(self.evaluator(grid, t), dtype=np.complex128)
+        # a copy: the evaluator may hand out an array it keeps
+        out = np.array(self.evaluator(grid, t), dtype=np.complex128)
         if out.shape != grid.kshape:
             raise GridMismatchError(
                 f"forcing evaluator returned shape {out.shape}, expected {grid.kshape}"
             )
-        out = np.where(grid.dealias_mask, out, 0.0)
+        _truncate(grid, out)
         out[0, 0, 0] = 0.0
         return out
 

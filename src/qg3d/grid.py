@@ -84,11 +84,6 @@ class GridSpec:
     def z(self) -> np.ndarray:
         return np.arange(self.nz) * self.dz
 
-    def mesh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Full coordinate arrays (X, Y, Z), each shaped like a physical field."""
-        Z, Y, X = np.meshgrid(self.z, self.y, self.x, indexing="ij")
-        return X, Y, Z
-
     # ---- wavenumbers ----------------------------------------------------
 
     @cached_property

@@ -14,7 +14,7 @@ import numpy as np
 from .dynamics import Forcing, PhysicsParams, jacobian_raw
 from .errors import EmptyBandError, ZeroModeError
 from .grid import GridSpec
-from .spectral import SpectralField, fwd, l2_norm
+from .spectral import SpectralField, _truncate, fwd, l2_norm
 from .stepping import State
 
 
@@ -71,11 +71,8 @@ def make_rossby(
         raise ZeroModeError("the (0, 0, 0) mode has no dynamics")
     _check_in_cube(grid, (s_x, s_y, s_z))
     s = _canonical_mode((s_x, s_y, s_z))
-    kx = 2.0 * np.pi * s[0] / grid.lx
-    ky = 2.0 * np.pi * s[1] / grid.ly
-    kz = 2.0 * np.pi * s[2] / grid.lz
-    k2 = kx * kx + ky * ky + (F * F) * (kz * kz)
-    omega = -beta * kx / k2
+    k2 = -grid.stratified_symbol(F)[s[2] % grid.nz, s[1] % grid.ny, s[0]]
+    omega = -beta * grid.kx[s[0]] / k2
 
     def exact(t: float) -> SpectralField:
         c = (-k2 * A / 2.0) * np.exp(-1j * omega * t)
@@ -216,7 +213,7 @@ _Target = Callable[[float], tuple[np.ndarray, np.ndarray]]
 def manufactured_solution(grid: GridSpec, target: _Target, F: float, t: float) -> SpectralField:
     """Exact spectral scalar of the target streamfunction at time t, cut to
     the two-thirds cube."""
-    q_c = np.where(grid.dealias_mask, target(t)[0] * grid.stratified_symbol(F), 0.0)
+    q_c = _truncate(grid, target(t)[0] * grid.stratified_symbol(F))
     q_c[0, 0, 0] = 0.0
     return SpectralField(grid, q_c)
 

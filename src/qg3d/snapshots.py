@@ -22,7 +22,7 @@ import numpy as np
 from .dynamics import PhysicsParams
 from .errors import SnapshotFormatError
 from .grid import GridSpec
-from .spectral import SpectralField, fwd, inv, l2_norm
+from .spectral import ZERO_MEAN_TOL, SpectralField, _truncate, fwd, inv, l2_norm
 from .stepping import State
 
 MAGIC = b"QG3D"
@@ -106,26 +106,26 @@ def read_snapshot(path) -> State:
 
 def _read_field(path, grid: GridSpec, q: np.ndarray) -> SpectralField:
     """The state of the samples ``q``: the two-thirds cube of their
-    transform, with zero mean.
+    transform (``_truncate``), with zero mean.
 
-    Samples whose mean exceeds 1e-12 * ||q||_L2, the Poisson solve's test,
-    are refused.  The samples are kept, so a write of the state reproduces
-    the file, only if what the cube and the zero mean drop is within that
-    same rounding bound, as for every file qg3d writes; otherwise the state
-    writes its own samples.
+    Samples whose mean exceeds ``ZERO_MEAN_TOL * ||q||_L2``, the Poisson
+    solve's test, are refused.  The samples are kept, so a write of the
+    state reproduces the file, only if what the cube and the zero mean drop
+    is within that same rounding bound, as for every file qg3d writes;
+    otherwise the state writes its own samples.
     """
     full = fwd(grid, q)
-    norm = l2_norm(SpectralField(grid, full))
+    tol = ZERO_MEAN_TOL * l2_norm(SpectralField(grid, full))
     mean = abs(full[0, 0, 0])
-    if mean > 1e-12 * norm:
+    if mean > tol:
         raise SnapshotFormatError(
-            f"{path}: samples have mean {mean:.3e} > 1e-12 * ||q||_L2 = {1e-12 * norm:.3e};"
+            f"{path}: samples have mean {mean:.3e} > {ZERO_MEAN_TOL:g} * ||q||_L2 = {tol:.3e};"
             " a state has zero mean"
         )
-    coeffs = np.where(grid.dealias_mask, full, 0.0)
+    coeffs = _truncate(grid, full.copy())
     coeffs[0, 0, 0] = 0.0
     full -= coeffs
-    exact = l2_norm(SpectralField(grid, full)) <= 1e-12 * norm
+    exact = l2_norm(SpectralField(grid, full)) <= tol
     return SpectralField(grid, coeffs, samples=q if exact else None)
 
 

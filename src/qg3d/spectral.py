@@ -1,7 +1,8 @@
-"""Transforms, spectral derivatives, the stratified elliptic solve, dealiasing.
+"""Transforms, the stratified elliptic solve, the two-thirds cube, norms.
 
-All operators act on whole fields and return new fields; none mutates its
-input, except that ``inv`` consumes the cube array of ``cube_derivative``.
+The operators return new arrays and mutate no input, except that ``inv``
+consumes the cube array of ``cube_derivative`` and ``_truncate`` works in
+place.
 The transform pair uses the "forward" normalization, so the zero
 coefficient of a transformed field is exactly its box mean.
 
@@ -13,11 +14,13 @@ The kernels' signatures were checked against scipy 1.17.1; this is the one
 module that imports ``scipy.fft``.  Both take an ``out=`` array, as
 ``solve_stratified_poisson`` does; without one each returns a new array.
 
-One half spectrum is kept per grid, the cube array of ``cube_derivative``.
-It holds the spectra that the Jacobian, the CFL bound and the diagnostics
-transform, and is +0.0 outside the two-thirds cube by construction.  A
-state is refused unless it lies inside that cube (``_in_cube``), so the
-spectra of the CFL bound and the diagnostics are the full products.
+One half spectrum is kept per grid and thread, the cube array of
+``cube_derivative``.  It holds the spectra that the Jacobian, the CFL bound
+and the diagnostics transform, and is +0.0 outside the two-thirds cube by
+construction.  The three regions outside that cube have one owner,
+``_outside_cube``: ``_in_cube`` tests them and ``_truncate`` zeroes them.  A
+state is refused unless it lies inside the cube, so the spectra of the CFL
+bound and the diagnostics are the full products.
 ``inv`` transforms the array in place and skips the lines the two-thirds
 rule leaves empty, so its contents do not survive the call; a norm of the
 spectrum is taken before it.
@@ -110,16 +113,13 @@ def fwd(
     workers = get_workers()
     if not truncate:
         return _pocketfft.r2c(values, (0, 1, 2), True, _FORWARD_NORM, out, workers)
-    zlo, zhi, lo, hi, kx = grid.dealias_bounds
+    zlo, zhi, _, _, kx = grid.dealias_bounds
     out = _pocketfft.r2c(values, (2,), True, _FORWARD_NORM, out, workers)
     cols = out[:, :, :kx]
     _pocketfft.c2c(cols, (0,), True, _FORWARD_NORM, cols, workers)
     for planes in (out[:zlo, :, :kx], out[zhi:, :, :kx]):
         _pocketfft.c2c(planes, (1,), True, _FORWARD_NORM, planes, workers)
-    out[:, :, kx:] = 0.0
-    out[zlo:zhi, :, :kx] = 0.0
-    out[:, lo:hi, :kx] = 0.0
-    return out
+    return _truncate(grid, out)
 
 
 def inv(grid: GridSpec, coeffs: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
@@ -137,7 +137,7 @@ def inv(grid: GridSpec, coeffs: np.ndarray, *, out: np.ndarray | None = None) ->
     """
     workers = get_workers()
     bounds = grid.dealias_bounds
-    ws = _cube(grid, bounds)[0]
+    ws = _cube(grid, bounds, threading.get_ident())[0]
     if coeffs is not ws:
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         return _pocketfft.c2r(coeffs, (0, 1, 2), grid.nx, False, _INVERSE_NORM, out, workers)
@@ -163,7 +163,7 @@ def cube_derivative(grid: GridSpec, coeffs: np.ndarray, *axes: str) -> np.ndarra
     """
     bounds = grid.dealias_bounds
     zlo, zhi, lo, hi, kx = bounds
-    ws, blocks = _cube(grid, bounds)
+    ws, blocks = _cube(grid, bounds, threading.get_ident())
     ws[:, lo:hi, :kx] = 0.0
     ws[zlo:zhi, :, :kx] = 0.0
     for block, mults in blocks:
@@ -177,22 +177,36 @@ def cube_derivative(grid: GridSpec, coeffs: np.ndarray, *axes: str) -> np.ndarra
     return ws
 
 
-def _in_cube(grid: GridSpec, coeffs: np.ndarray) -> bool:
-    """Whether ``coeffs`` is zero outside the two-thirds cube, on the three
-    regions ``fwd(..., truncate=True)`` zeroes.  A test of values, not bits:
-    -0.0 passes and NaN fails."""
+def _outside_cube(grid: GridSpec, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The three regions of ``c`` outside the two-thirds cube, as views: the
+    dropped x columns, then the dropped z planes and y rows of the kept
+    columns.  Read off ``grid.dealias_bounds``."""
     zlo, zhi, lo, hi, kx = grid.dealias_bounds
-    return not (
-        coeffs[:, :, kx:].any() or coeffs[zlo:zhi, :, :kx].any() or coeffs[:, lo:hi, :kx].any()
-    )
+    return c[:, :, kx:], c[zlo:zhi, :, :kx], c[:, lo:hi, :kx]
+
+
+def _in_cube(grid: GridSpec, coeffs: np.ndarray) -> bool:
+    """Whether ``coeffs`` is zero on the regions ``_outside_cube`` gives.  A
+    test of values, not bits: -0.0 passes and NaN fails."""
+    return not any(region.any() for region in _outside_cube(grid, coeffs))
+
+
+def _truncate(grid: GridSpec, c: np.ndarray) -> np.ndarray:
+    """Write +0.0 outside the two-thirds cube of ``c``, in place, and return
+    it: the bits of ``np.where(grid.dealias_mask, c, 0.0)``."""
+    for region in _outside_cube(grid, c):
+        region.fill(0.0)
+    return c
 
 
 @lru_cache(maxsize=8)
-def _cube(grid: GridSpec, bounds: tuple[int, int, int, int, int]):
+def _cube(grid: GridSpec, bounds: tuple[int, int, int, int, int], thread: int):
     """The cube array, +0.0 outside the cube ``bounds`` whenever
     ``cube_derivative`` hands it to ``inv``, and the non-empty kept blocks as
     (index, {axis: multiplier}), each multiplier cut to the block.  Kept per
-    grid and cube, so equal grids whose masks differ share nothing."""
+    grid, cube and thread (``threading.get_ident()``): equal grids whose
+    masks differ share nothing, and runs in two threads never write into
+    each other's array."""
     zlo, zhi, lo, hi, kx = bounds
     blocks = []
     for zs in (slice(0, zlo), slice(zhi, grid.nz)):
@@ -271,21 +285,9 @@ def hold_pool(grid: GridSpec):
 
 # ---- spectral-space operators ---------------------------------------------
 
-_AXES = {"x": "ikx", "y": "iky", "z": "ikz"}
-
-
-def derivative(fh: SpectralField, axis: str) -> SpectralField:
-    """Spectral partial derivative along ``axis`` in {"x", "y", "z"}.
-
-    The Nyquist coefficient of the differentiated axis is zeroed, so applying
-    the same derivative twice is not identical to one second derivative on
-    that mode; fields kept dealiased never populate it anyway.
-    """
-    try:
-        mult = getattr(fh.grid, _AXES[axis])
-    except KeyError:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
-    return SpectralField(fh.grid, fh.coeffs * mult)
+#: The largest zero mode a state's scalar may carry, relative to its L2
+#: norm: rounding, not a mean.
+ZERO_MEAN_TOL = 1e-12
 
 
 def solve_stratified_poisson(
@@ -294,7 +296,7 @@ def solve_stratified_poisson(
     """Invert the stratified Laplacian with the zero-mean gauge.
 
     The right-hand side must have (numerically) no mean: the zero mode is
-    compared against 1e-12 times the L2 norm of the field and a
+    compared against ``ZERO_MEAN_TOL`` times the L2 norm of the field and a
     NonZeroMeanError is raised when it is larger.  The zero mode of the
     result is set to zero, which pins the otherwise arbitrary constant.
     The coefficients are written to ``out`` (C-contiguous complex128 of the
@@ -304,10 +306,10 @@ def solve_stratified_poisson(
     q = np.ascontiguousarray(q_hat.coeffs)
     mean = abs(q[0, 0, 0])
     if mean > 0.0:  # an exactly zero mean passes without the norm
-        norm = l2_norm(q_hat)
-        if mean > 1e-12 * norm:
+        tol = ZERO_MEAN_TOL * l2_norm(q_hat)
+        if mean > tol:
             raise NonZeroMeanError(
-                f"zero mode {mean:.3e} exceeds 1e-12 * ||q||_L2 = {1e-12 * norm:.3e}"
+                f"zero mode {mean:.3e} exceeds {ZERO_MEAN_TOL:g} * ||q||_L2 = {tol:.3e}"
             )
     # numpy divides a complex by a real as a product with the reciprocal, so
     # multiplying the real and imaginary parts by 1/symbol gives the same bits
@@ -325,19 +327,6 @@ def _inverse_symbol(grid: GridSpec, F: float) -> np.ndarray:
     sym = grid.stratified_symbol(F).copy()
     sym[0, 0, 0] = 1.0  # gauge slot, solution mean forced to zero by the caller
     return np.repeat(1.0 / sym, 2, axis=-1)
-
-
-def dealias(fh: SpectralField) -> SpectralField:
-    """Zero every mode outside the two-thirds cube.  Idempotent."""
-    return SpectralField(fh.grid, np.where(fh.grid.dealias_mask, fh.coeffs, 0.0))
-
-
-def velocity_spectra(psi_hat: SpectralField) -> tuple[SpectralField, SpectralField, SpectralField]:
-    """Spectra of the velocity components (-dpsi/dy, dpsi/dx, dpsi/dz)."""
-    v1 = SpectralField(psi_hat.grid, -(psi_hat.coeffs * psi_hat.grid.iky))
-    v2 = derivative(psi_hat, "x")
-    v3 = derivative(psi_hat, "z")
-    return v1, v2, v3
 
 
 # ---- Parseval-side norms and inner products -------------------------------

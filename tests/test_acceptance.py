@@ -45,6 +45,7 @@ from qg3d.snapshots import (
 )
 from qg3d.spectral import SpectralField, fwd, inv, l2_norm
 from qg3d.stepping import Observer, State, StepControl, run
+from reference_forms import mesh
 
 REFERENCE_CONFIG = """\
 grid.nx = 64
@@ -203,7 +204,7 @@ def test_criterion_06_planar_transport_invariants():
 def test_criterion_07_manufactured_solution():
     grid = GridSpec(32, 32, 32)
     params = PhysicsParams(beta=1.0, nu=0.0, F=1.0)
-    X, Y, _ = grid.mesh()
+    X, Y, _ = mesh(grid)
     phi = fwd(grid, np.sin(X) * np.sin(Y))
 
     def target(t):

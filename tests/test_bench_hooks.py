@@ -310,3 +310,29 @@ def test_only_spectral_imports_scipy_fft():
     assert {name for name, names in found.items() if names} == {"spectral.py"}
     assert "scipy.fft._pocketfft.pypocketfft" in found["spectral.py"]
 
+
+def mask_readers(path: Path) -> set[str]:
+    """The functions of a module that read ``dealias_mask``, each named with
+    its module and classes (``dynamics.Forcing.spectral``)."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "dealias_mask":
+                found.add(scope)
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_only_grid_and_make_random_read_the_dealias_mask():
+    # the two-thirds cube is cut by spectral._truncate and tested by
+    # _in_cube; the mask is the source of dealias_bounds and of
+    # make_random's selection of modes
+    modules = (ROOT / "src" / "qg3d").glob("*.py")
+    readers = set().union(*(mask_readers(path) for path in modules))
+    assert {name for name in readers if not name.startswith("grid.")} == {"initial.make_random"}

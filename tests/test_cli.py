@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from qg3d.cli import main
-from qg3d.diagnostics import CSV_COLUMNS
+from qg3d.diagnostics import CSV_COLUMNS, RATIOS_HEADER
 from qg3d.dynamics import PhysicsParams
 from qg3d.grid import GridSpec
 from qg3d.initial import make_random
@@ -687,6 +687,26 @@ def test_run_from_t0_replaces_an_unparseable_csv(tmp_path, monkeypatch, capsys):
     header, *rows = (out / "diagnostics.csv").read_text().splitlines()
     assert header == ",".join(CSV_COLUMNS)
     assert len(rows) == 3
+
+
+def test_the_csv_headers_on_disk_are_spelled_out(tmp_path, monkeypatch, capsys):
+    # CSV_COLUMNS is read off DiagnosticsRecord's fields, so this literal is
+    # what keeps a reordered record from reordering diagnostics.csv
+    diagnostics = (
+        "t", "v_l2", "q_l2", "q_l4", "q_l6", "q_linf", "v_linf", "v2_l6", "v2_linf",
+        "dq_l2", "dq_l3", "dq_l4", "d2q_l3", "hm_q", "hm_v", "grad_v_linf",
+    )
+    ratios = (
+        "t", "cz_ratio_l2", "cz_ratio_l4", "gn_ratio",
+        "q_l2_over_poly", "q_l4_over_poly", "q_l6_over_poly", "d2q_l3",
+    )
+    assert (CSV_COLUMNS, RATIOS_HEADER) == (diagnostics, ratios)
+    cfg = write_cfg(tmp_path, RANDOM_8)
+    out = use_out(monkeypatch, tmp_path, "out")
+    assert main(["run", cfg]) == 0
+    capsys.readouterr()
+    for name, header in (("diagnostics.csv", diagnostics), ("ratios.csv", ratios)):
+        assert (out / name).read_text().splitlines()[0] == ",".join(header)
 
 
 @pytest.mark.parametrize(

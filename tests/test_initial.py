@@ -19,6 +19,7 @@ from qg3d.initial import (
 )
 from qg3d.spectral import SpectralField, fwd, inv, l2_norm
 from qg3d.stepping import State, StepControl, run
+from reference_forms import mesh
 
 V = (2.0 * np.pi) ** 3
 
@@ -165,7 +166,7 @@ def test_zonal_scalar_closed_form():
     grid = GridSpec(8, 16, 8)
     state = make_zonal(grid, np.cos(2 * grid.y))
     q = inv(grid, state.q_hat.coeffs)
-    _, Y, _ = grid.mesh()
+    _, Y, _ = mesh(grid)
     assert np.max(np.abs(q - (-4.0) * np.cos(2 * Y))) < 1e-12
 
 
@@ -178,7 +179,7 @@ def test_zonal_profile_length_checked():
 def traveling_wave(grid, amplitude, s, omega):
     """Target A cos(k.x - omega t) as the two separable terms
     cos(k.x) cos(omega t) + sin(k.x) sin(omega t)."""
-    X, Y, Z = grid.mesh()
+    X, Y, Z = mesh(grid)
     phase = s[0] * X + s[1] * Y + s[2] * Z
     c, s_ = fwd(grid, amplitude * np.cos(phase)), fwd(grid, amplitude * np.sin(phase))
 
@@ -209,7 +210,7 @@ def test_mms_rossby_target_needs_no_forcing():
 
 def test_mms_zonal_target_needs_no_forcing():
     grid = GridSpec(8, 16, 8)
-    _, Y, _ = grid.mesh()
+    _, Y, _ = mesh(grid)
     target = steady(fwd(grid, np.cos(2 * Y)))
     state, forcing = make_mms(grid, PhysicsParams(), target)
     scale = np.max(np.abs(state.q_hat.coeffs))
@@ -220,7 +221,7 @@ def test_mms_forcing_closed_form_single_term():
     # psi* = cos(t) sin(x) with beta = 0: q* = -cos(t) sin(x) and the
     # advection vanishes, so F = q*_t = sin(t) sin(x)
     grid = GridSpec(16, 8, 8)
-    X, _, _ = grid.mesh()
+    X, _, _ = mesh(grid)
     phi = fwd(grid, np.sin(X))
     params = PhysicsParams(beta=0.0, nu=0.0, F=1.0)
     state, forcing = make_mms(grid, params, lambda t: (np.cos(t) * phi, -np.sin(t) * phi))
@@ -231,7 +232,7 @@ def test_mms_forcing_closed_form_single_term():
 
 def test_mms_run_reproduces_target():
     grid = GridSpec(16, 16, 4)
-    X, Y, _ = grid.mesh()
+    X, Y, _ = mesh(grid)
     phi = fwd(grid, np.sin(X) * np.sin(Y))
 
     def target(t):
@@ -248,7 +249,7 @@ def test_mms_run_reproduces_target():
 
 def test_manufactured_solution_is_symbol_times_target():
     grid = GridSpec(16, 16, 8)
-    X, _, Z = grid.mesh()
+    X, _, Z = mesh(grid)
     psi = 0.5 * np.cos(2 * X) * np.sin(Z)
     got = manufactured_solution(grid, steady(fwd(grid, psi)), 2.0, 0.0)
     # q = (dxx + F^2 dzz) psi = -(4 + 4) psi for modes (2, 0, 1), F = 2

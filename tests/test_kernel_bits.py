@@ -3,13 +3,13 @@
 ``jacobian_raw``, ``tendency_raw``, ``solve_stratified_poisson`` and the
 stage arithmetic of ``rk4_step`` work in place on precomputed multipliers.
 The spectra that the Jacobian, ``record`` and ``cfl_dt`` transform hold only
-the two-thirds cube, in an array kept per grid that ``inv`` transforms in
-place, skipping the lines the two-thirds rule leaves empty; the Jacobian's
-forward transform computes only that cube.  A state lies inside the cube, so
-``record`` and ``cfl_dt`` are tested on such states; the raw layer is also
-tested on full spectra, which the Jacobian truncates.  The references below
-are the straightforward array expressions they replace, with
-``scipy.fft.irfftn`` as the inverse transform, kept as the specification:
+the two-thirds cube, in an array kept per grid and thread that ``inv``
+transforms in place, skipping the lines the two-thirds rule leaves empty; the
+Jacobian's forward transform computes only that cube.  A state lies inside
+the cube, so ``record`` and ``cfl_dt`` are tested on such states; the raw
+layer is also tested on full spectra, which the Jacobian truncates.  The
+references below are the straightforward array expressions they replace,
+with ``scipy.fft.irfftn`` as the inverse transform, kept as the specification:
 every result must match them byte for byte, not merely to a tolerance.
 
 ``fwd`` and ``inv`` call scipy's pocketfft kernels directly, so the tests
@@ -22,30 +22,31 @@ import contextlib
 import dataclasses
 import itertools
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from qg3d.diagnostics import DiagnosticsRecord, _lp_raw, record
+from qg3d.diagnostics import DiagnosticsRecord, record
 from qg3d.dynamics import NO_FORCING, Forcing, PhysicsParams, jacobian_raw, tendency_raw
 from qg3d.errors import NonFiniteError, NonZeroMeanError
 from qg3d.grid import GridSpec
 from qg3d.initial import make_random
 from qg3d.spectral import (
     SpectralField,
-    derivative,
     fwd,
     inv,
     l2_norm,
     sobolev_norm,
     solve_stratified_poisson,
-    velocity_spectra,
 )
-from qg3d.stepping import State, StepControl, _viscous_factors, cfl_dt, rk4_step, run
+from qg3d.stepping import Observer, State, StepControl, _viscous_factors, cfl_dt, rk4_step, run
 import qg3d.spectral as spectral
 import qg3d.stepping as stepping
+from reference_forms import derivative, velocity_spectra
 
 # ---- reference forms ---------------------------------------------------------
 
@@ -119,6 +120,13 @@ def ref_rk4_coeffs(state, dt, forcing=NO_FORCING):
     return q_new
 
 
+def ref_lp(cell_volume, values, p):
+    magnitude = np.abs(values)
+    if p == math.inf:
+        return float(np.max(magnitude))
+    return float((np.sum(np.power(magnitude, p)) * cell_volume) ** (1.0 / p))
+
+
 def ref_hessian_magnitude(fh):
     h2 = np.zeros(fh.grid.shape)
     for ax1, ax2, mult in (
@@ -150,24 +158,24 @@ def ref_record(state, m=4):
     gradvmag = ref_hessian_magnitude(psi_hat)
     return DiagnosticsRecord(
         t=state.t,
-        v_l2=_lp_raw(dv, vmag_energy, 2),
-        q_l2=_lp_raw(dv, q, 2),
-        q_l4=_lp_raw(dv, q, 4),
-        q_l6=_lp_raw(dv, q, 6),
-        q_linf=_lp_raw(dv, q, math.inf),
-        v_linf=_lp_raw(dv, vmag, math.inf),
-        v2_l6=_lp_raw(dv, v2, 6),
-        v2_linf=_lp_raw(dv, v2, math.inf),
-        dq_l2=_lp_raw(dv, dqmag, 2),
-        dq_l3=_lp_raw(dv, dqmag, 3),
-        dq_l4=_lp_raw(dv, dqmag, 4),
-        d2q_l3=_lp_raw(dv, d2qmag, 3),
+        v_l2=ref_lp(dv, vmag_energy, 2),
+        q_l2=ref_lp(dv, q, 2),
+        q_l4=ref_lp(dv, q, 4),
+        q_l6=ref_lp(dv, q, 6),
+        q_linf=ref_lp(dv, q, math.inf),
+        v_linf=ref_lp(dv, vmag, math.inf),
+        v2_l6=ref_lp(dv, v2, 6),
+        v2_linf=ref_lp(dv, v2, math.inf),
+        dq_l2=ref_lp(dv, dqmag, 2),
+        dq_l3=ref_lp(dv, dqmag, 3),
+        dq_l4=ref_lp(dv, dqmag, 4),
+        d2q_l3=ref_lp(dv, d2qmag, 3),
         hm_q=sobolev_norm(q_hat, m - 1),
         hm_v=float(np.sqrt(sum(sobolev_norm(vh, m) ** 2 for vh in (v1h, v2h, v3h)))),
-        grad_v_linf=_lp_raw(dv, gradvmag, math.inf),
-        grad_v_l2=_lp_raw(dv, gradvmag, 2),
-        grad_v_l4=_lp_raw(dv, gradvmag, 4),
-        grad_v_l6=_lp_raw(dv, gradvmag, 6),
+        grad_v_linf=ref_lp(dv, gradvmag, math.inf),
+        grad_v_l2=ref_lp(dv, gradvmag, 2),
+        grad_v_l4=ref_lp(dv, gradvmag, 4),
+        grad_v_l6=ref_lp(dv, gradvmag, 6),
         beta=state.params.beta,
     )
 
@@ -428,9 +436,48 @@ def test_cube_derivative_is_the_truncated_product_after_any_use():
         for axis, mult in (("x", grid.ikx), ("y", grid.iky)):
             expected = np.where(grid.dealias_mask, full * mult, 0.0)
             ws = spectral.cube_derivative(grid, full, axis)
-            assert ws is spectral._cube(grid, grid.dealias_bounds)[0]
+            assert ws is spectral._cube(grid, grid.dealias_bounds, threading.get_ident())[0]
             assert_same_bits(ws, expected)
             assert_same_bits(inv(grid, ws), ref_inv(grid, expected))
+
+
+def test_runs_in_threads_have_the_bits_of_lone_runs():
+    # the cube array is kept per thread, so runs on equal grids do not write
+    # into each other's derivative spectra; three threads on two cores, with
+    # a short switch interval, interleave their transforms
+    grid = GridSpec(16, 16, 16)
+    control = StepControl(mode="fixed", dt_fixed=1e-3)
+    seeds = (1, 2, 3)
+
+    def go(seed):
+        state = make_random(grid, -3.0, 1.0, seed)
+        return run(state, 0.02, control, observers=[Observer(record)]).q_hat.coeffs
+
+    alone = {seed: go(seed) for seed in seeds}
+    together, errors = {}, []
+    barrier = threading.Barrier(len(seeds))
+
+    def work(seed):
+        barrier.wait(timeout=60)
+        try:
+            together[seed] = go(seed)
+        except Exception as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    for seed in seeds:
+        assert_same_bits(together[seed], alone[seed])
 
 
 def test_cube_derivative_multiplies_along_its_axes_in_their_order():

