@@ -3,20 +3,24 @@ grid solver through the along-path integral identity for the scalar.
 
 Trajectories follow the horizontal velocity only; nothing is advected
 vertically, so each particle stays on its level.  Velocities at off-grid
-positions come from exact summation of the retained Fourier modes, which
-keeps interpolation error out of the comparison entirely.
+positions come from exact summation of the retained Fourier modes (Boyd,
+*Chebyshev and Fourier Spectral Methods*, 2nd ed., 2001, ch. 2), which
+keeps interpolation error out of the comparison entirely.  Every state lies
+inside the two-thirds cube, so the tracer's tables hold only the cube's
+kept rows and columns, summed over kz straight from q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .diagnostics import _write_csv
 from .grid import GridSpec
-from .spectral import SpectralField, solve_stratified_poisson
+from .spectral import SpectralField
 from .stepping import State
 
 
@@ -62,35 +66,96 @@ class ParticleSet:
         return self.labels.shape[0]
 
 
-def _collapse_z(coeffs: np.ndarray, grid: GridSpec, z_level: float) -> np.ndarray:
-    """Half-spectrum coefficients summed over kz on one z plane, (ny, nxh)."""
-    phase_z = np.exp(1j * grid.kz * z_level)
-    return np.tensordot(phase_z, coeffs, axes=(0, 0))
+# OpenBLAS (scipy-openblas 0.3.31, measured on 2 cores) runs a complex
+# matrix product of m * n * k < 65,536 on the calling thread; from 65,536 up
+# it wakes a worker, which then spins on the other core between calls.  So
+# the point sums multiply one table by at most 64 points at a time, and
+# fewer where the table is larger: 64 points by a 43 x 22 cube table at
+# 64^3 is m * n * k = 60,544.
+_SERIAL_PRODUCT = 65_535
+_BLOCK_POINTS = 64
 
 
-def _sum_at_points(tables: np.ndarray, grid: GridSpec, xy: np.ndarray) -> np.ndarray:
-    """Real values of planar coefficient tables (m, ny, nxh) at (x, y)
-    points, shape (n, m): two dense phase matrices, one matrix product."""
-    m, ny, nxh = tables.shape
-    ex = np.exp(1j * np.outer(xy[:, 0], grid.kx)) * grid.hermitian_weight.reshape(1, -1)
-    ey = np.exp(1j * np.outer(xy[:, 1], grid.ky))
-    rows = (ex @ tables.reshape(m * ny, nxh).T).reshape(-1, m, ny)
-    return (rows * ey[:, None, :]).sum(axis=2).real
+def _running_phases(coord: np.ndarray, step: float, count: int) -> np.ndarray:
+    """exp(i j step coord) for j = 0 .. count - 1, shape (count, n), as
+    running products of exp(i step coord)."""
+    out = np.empty((count, coord.shape[0]), dtype=np.complex128)
+    out[0] = 1.0
+    if count > 1:
+        np.exp(1j * step * coord, out=out[1])
+        for j in range(2, count):
+            np.multiply(out[j - 1], out[1], out=out[j])
+    return out
+
+
+def _sum_at_points(tables: np.ndarray, grid: GridSpec, xy: np.ndarray, npos: int) -> np.ndarray:
+    """Real values at (x, y) points, shape (n, m), of planar half-spectrum
+    tables (m, rows, cols).  Column j holds the x mode j; the first ``npos``
+    rows hold the y modes 0 .. npos - 1 and the rest the modes -(rows -
+    npos) .. -1.  The phases of the negative modes are the conjugates of
+    the positive ones."""
+    m, rows, cols = tables.shape
+    n, nneg = xy.shape[0], rows - npos
+    ex = _running_phases(xy[:, 0], 2.0 * np.pi / grid.lx, cols)
+    ex *= grid.hermitian_weight[0, 0, :cols, np.newaxis]
+    positive = _running_phases(xy[:, 1], 2.0 * np.pi / grid.ly, max(npos, nneg + 1))
+    ey = np.empty((rows, n), dtype=np.complex128)
+    ey[:npos] = positive[:npos]
+    np.conjugate(positive[nneg:0:-1], out=ey[npos:])
+    block = max(1, min(_BLOCK_POINTS, _SERIAL_PRODUCT // (rows * cols)))
+    sums = np.empty((n, rows), dtype=np.complex128)
+    out = np.empty((n, m))
+    for i in range(m):
+        for start in range(0, n, block):
+            part = slice(start, start + block)
+            np.matmul(ex[:, part].T, tables[i].T, out=sums[part])
+        out[:, i] = np.einsum("nr,rn->n", sums, ey).real
+    return out
 
 
 def evaluate_at_points(fh: SpectralField, xy: np.ndarray, z_level: float) -> np.ndarray:
     """Exact Fourier-series values of a real field at arbitrary (x, y) points
-    on a fixed z plane: the z sum collapses first, then the planar sum."""
-    table = _collapse_z(fh.coeffs, fh.grid, z_level)
-    return _sum_at_points(table[np.newaxis], fh.grid, xy)[:, 0]
+    on a fixed z plane: the z sum collapses first, then the planar sum.
+    Any half spectrum, the modes outside the two-thirds cube included."""
+    grid = fh.grid
+    plane = np.einsum("z,zyx->yx", np.exp(1j * grid.kz * z_level), fh.coeffs)
+    return _sum_at_points(plane[np.newaxis], grid, xy, (grid.ny + 1) // 2)[:, 0]
 
 
-def velocity_table(psi_hat: SpectralField, z_level: float) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _level_weights(grid: GridSpec, F: float, z_level: float):
+    """exp(i kz z_level) / stratified symbol on each kept (z range x y range)
+    block of the first kx columns, as (q index, table rows, weight), with 0
+    at the gauge slot; and the kept rows of iky and columns of ikx."""
+    zlo, zhi, lo, hi, kx = grid.dealias_bounds
+    sym = grid.stratified_symbol(F)
+    sym[0, 0, 0] = 1.0
+    phase = np.exp(1j * grid.kz * z_level).reshape(-1, 1, 1)
+    blocks = []
+    for ys, rows in ((slice(0, lo), slice(0, lo)), (slice(hi, grid.ny), slice(lo, None))):
+        for zs in (slice(0, zlo), slice(zhi, grid.nz)):
+            if zs.start < zs.stop and ys.start < ys.stop:
+                index = (zs, ys, slice(0, kx))
+                blocks.append((index, rows, phase[zs] / sym[index]))
+    blocks[0][2][0, 0, 0] = 0.0
+    iky = np.concatenate((grid.iky[0, :lo], grid.iky[0, hi:]))
+    return tuple(blocks), iky, grid.ikx[0, :, :kx]
+
+
+def velocity_table(state: State, z_level: float) -> np.ndarray:
     """Planar coefficients of (v1, v2) = (-dpsi/dy, dpsi/dx) on one z plane,
-    shape (2, ny, nx // 2 + 1); the multipliers keep their Nyquist zeroing."""
-    grid = psi_hat.grid
-    plane = _collapse_z(psi_hat.coeffs, grid, z_level)
-    return np.stack((-(plane * grid.iky[0]), plane * grid.ikx[0]))
+    on the kept rows and columns of the two-thirds cube: shape (2, rows,
+    kx), with the rows of y modes 0 .. lo - 1 then the negative ones
+    (``GridSpec.dealias_bounds``).  Summed straight from q over kz, with
+    no Poisson solve."""
+    grid = state.grid
+    q = state.q_hat.coeffs
+    blocks, iky, ikx = _level_weights(grid, state.params.F, z_level)
+    _, _, lo, hi, kx = grid.dealias_bounds
+    plane = np.zeros((lo + grid.ny - hi, kx), dtype=np.complex128)
+    for index, rows, weight in blocks:
+        plane[rows] += np.einsum("zyx,zyx->yx", q[index], weight)
+    return np.stack((-(plane * iky), plane * ikx))
 
 
 def advance_particles(
@@ -112,11 +177,12 @@ def advance_particles(
         raise ValueError(f"dt must be positive, got {dt}")
     start, mid, end = tables
     grid = pset.grid
+    npos = grid.dealias_bounds[2]
     x0 = pset.positions
-    k1 = _sum_at_points(start, grid, x0)
-    k2 = _sum_at_points(mid, grid, x0 + 0.5 * dt * k1)
-    k3 = _sum_at_points(mid, grid, x0 + 0.5 * dt * k2)
-    k4 = _sum_at_points(end, grid, x0 + dt * k3)
+    k1 = _sum_at_points(start, grid, x0, npos)
+    k2 = _sum_at_points(mid, grid, x0 + 0.5 * dt * k1, npos)
+    k3 = _sum_at_points(mid, grid, x0 + 0.5 * dt * k2, npos)
+    k4 = _sum_at_points(end, grid, x0 + dt * k3, npos)
     new_pos = x0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     incr = (dt / 6.0) * (k1[:, 1] + 2.0 * k2[:, 1] + 2.0 * k3[:, 1] + k4[:, 1])
     return replace(
@@ -156,8 +222,8 @@ class TrajectoryTracer:
     """Observer that advances particles alongside an Eulerian run.
 
     Register with the time loop so it sees every accepted step.  Each
-    observed state costs one Poisson solve and one velocity table per
-    z-level.  Two solver steps form one particle step: the buffered tables
+    observed state costs one velocity table per z-level, and no Poisson
+    solve.  Two solver steps form one particle step: the buffered tables
     at t, t+dt, t+2dt supply exactly the RK4 stage times.  An odd step at
     the end (or a step pair broken by event landing) falls back to the
     average of the start and end tables for the middle stage, which costs
@@ -189,8 +255,7 @@ class TrajectoryTracer:
                 f"tracer beta = {self.beta!r} differs from the state's beta = "
                 f"{state.params.beta!r}"
             )
-        psi_hat = solve_stratified_poisson(state.q_hat, state.params.F)
-        tables = [velocity_table(psi_hat, ps.z_level) for ps in self.sets]
+        tables = [velocity_table(state, ps.z_level) for ps in self.sets]
         self._buffer.append((state.t, tables))
         self._latest_q = state.q_hat
         if self.time is None:

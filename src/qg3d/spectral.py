@@ -137,7 +137,7 @@ def inv(grid: GridSpec, coeffs: np.ndarray, *, out: np.ndarray | None = None) ->
     """
     workers = get_workers()
     bounds = grid.dealias_bounds
-    ws = _cube(grid, bounds, threading.get_ident())[0]
+    ws = _cube(grid, bounds)[0]
     if coeffs is not ws:
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         return _pocketfft.c2r(coeffs, (0, 1, 2), grid.nx, False, _INVERSE_NORM, out, workers)
@@ -163,7 +163,7 @@ def cube_derivative(grid: GridSpec, coeffs: np.ndarray, *axes: str) -> np.ndarra
     """
     bounds = grid.dealias_bounds
     zlo, zhi, lo, hi, kx = bounds
-    ws, blocks = _cube(grid, bounds, threading.get_ident())
+    ws, blocks = _cube(grid, bounds)
     ws[:, lo:hi, :kx] = 0.0
     ws[zlo:zhi, :, :kx] = 0.0
     for block, mults in blocks:
@@ -199,14 +199,31 @@ def _truncate(grid: GridSpec, c: np.ndarray) -> np.ndarray:
     return c
 
 
-@lru_cache(maxsize=8)
-def _cube(grid: GridSpec, bounds: tuple[int, int, int, int, int], thread: int):
+# each thread's cube arrays, by (grid, bounds), least recently used first;
+# a thread's arrays go when it ends, the main thread's stay with the process
+_cubes = threading.local()
+_CUBES_PER_THREAD = 8
+
+
+def _cube(grid: GridSpec, bounds: tuple[int, int, int, int, int]):
     """The cube array, +0.0 outside the cube ``bounds`` whenever
     ``cube_derivative`` hands it to ``inv``, and the non-empty kept blocks as
     (index, {axis: multiplier}), each multiplier cut to the block.  Kept per
-    grid, cube and thread (``threading.get_ident()``): equal grids whose
-    masks differ share nothing, and runs in two threads never write into
-    each other's array."""
+    grid, cube and thread, the last ``_CUBES_PER_THREAD`` a thread used:
+    equal grids whose masks differ share nothing, and runs in two threads
+    never write into each other's array."""
+    kept = _cubes.__dict__.setdefault("by_grid", {})
+    key = (grid, bounds)
+    cube = kept.pop(key, None)
+    if cube is None:
+        cube = _new_cube(grid, bounds)
+        if len(kept) >= _CUBES_PER_THREAD:
+            del kept[next(iter(kept))]
+    kept[key] = cube
+    return cube
+
+
+def _new_cube(grid: GridSpec, bounds: tuple[int, int, int, int, int]):
     zlo, zhi, lo, hi, kx = bounds
     blocks = []
     for zs in (slice(0, zlo), slice(zhi, grid.nz)):

@@ -15,7 +15,7 @@ import numpy as np
 import qg3d
 from qg3d import cli, diagnostics, spectral, stepping
 from qg3d.cli import main
-from qg3d.config import parse_config
+from qg3d.config import build_particle_sets, parse_config
 from qg3d.diagnostics import check_growth_bounds
 from qg3d.grid import GridSpec
 from qg3d.initial import make_random
@@ -149,12 +149,12 @@ def test_transform_arrays_are_the_second_positional_argument():
         assert all(p.kind in positional for p in params)
 
 
-def wrap_transforms(monkeypatch):
-    """Wrap fwd and inv in every qg3d module that holds them, as
-    bench/spans.py does; returns the list the calls are appended to as
-    (name, args, kwargs)."""
+def wrap_transforms(monkeypatch, names=("fwd", "inv")):
+    """Wrap the spectral functions ``names`` in every qg3d module that holds
+    them, as bench/spans.py does; returns the list the calls are appended
+    to as (name, args, kwargs)."""
     calls = []
-    for name in ("fwd", "inv"):
+    for name in names:
         original = getattr(spectral, name)
 
         def wrapper(*args, _name=name, _original=original, **kwargs):
@@ -248,6 +248,24 @@ def test_a_cfl_step_asks_cfl_dt_for_its_dt_and_makes_the_counted_calls():
     assert m["dynamics.tendency.calls"] == 4 * steps
 
 
+def test_a_traced_run_makes_four_poisson_solves_per_step_and_one_per_record(monkeypatch):
+    # spectral.poisson.calls counts the solves: the tendency's one per RK4
+    # stage and record's one; the tracer takes its velocity tables from q
+    calls = wrap_transforms(monkeypatch, names=("solve_stratified_poisson",))
+    grid = GridSpec(16, 16, 16)
+    state = make_random(grid, -3.0, 1.0, 5, band=(2, 5))
+    sets = build_particle_sets(parse_config("lagrangian.particles = 32\n"), grid)
+    tracer = TrajectoryTracer(sets, state.q_hat, beta=state.params.beta)
+    records = []
+    observers = [stepping.Observer(lambda s: records.append(diagnostics.record(s)), every=2e-3),
+                 stepping.Observer(tracer)]
+    stepping.run(state, 5e-3, stepping.StepControl(mode="fixed", dt_fixed=1e-3),
+                 observers=observers)
+    steps = 5
+    assert len(records) == 3 and tracer.time is not None
+    assert len(calls) == 4 * steps + len(records)
+
+
 def test_growth_check_takes_the_history_and_a_tolerance():
     # bench/workloads.py calls check_growth_bounds(history, cfg.checks.tol_growth)
     inspect.signature(check_growth_bounds).bind([], 1e-3)
@@ -309,6 +327,43 @@ def test_only_spectral_imports_scipy_fft():
     found = {path.name: fft_imports(path) for path in (ROOT / "src" / "qg3d").glob("*.py")}
     assert {name for name, names in found.items() if names} == {"spectral.py"}
     assert "scipy.fft._pocketfft.pypocketfft" in found["spectral.py"]
+
+
+def products_outside(path: Path, helper: str) -> set[str]:
+    """The matrix products (``@``, ``np.matmul``, ``np.dot``,
+    ``np.tensordot``) a module makes outside its function ``helper``,
+    each named with the function it is in and its source text."""
+    products = {"np.matmul", "np.dot", "np.tensordot"}
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name)
+                continue
+            is_matmul = isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult)
+            is_matmul |= isinstance(child, ast.AugAssign) and isinstance(child.op, ast.MatMult)
+            if is_matmul or ast.unparse(child) in products:
+                if scope != helper:
+                    found.add(f"{scope}: {ast.unparse(child)}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_the_tracer_multiplies_matrices_only_in_its_blocked_point_sums():
+    # OpenBLAS wakes a worker thread for a product of m * n * k >= 65,536,
+    # which then spins between calls; particles._sum_at_points keeps each
+    # product below that, and the velocity tables come from q without a
+    # Poisson solve
+    path = ROOT / "src" / "qg3d" / "particles.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    found = products_outside(path, "_sum_at_points")
+    found |= {f"import {name}" for name in imported & {"solve_stratified_poisson"}}
+    assert found == set()
 
 
 def mask_readers(path: Path) -> set[str]:

@@ -436,7 +436,7 @@ def test_cube_derivative_is_the_truncated_product_after_any_use():
         for axis, mult in (("x", grid.ikx), ("y", grid.iky)):
             expected = np.where(grid.dealias_mask, full * mult, 0.0)
             ws = spectral.cube_derivative(grid, full, axis)
-            assert ws is spectral._cube(grid, grid.dealias_bounds, threading.get_ident())[0]
+            assert ws is spectral._cube(grid, grid.dealias_bounds)[0]
             assert_same_bits(ws, expected)
             assert_same_bits(inv(grid, ws), ref_inv(grid, expected))
 
@@ -478,6 +478,29 @@ def test_runs_in_threads_have_the_bits_of_lone_runs():
     assert not errors, errors
     for seed in seeds:
         assert_same_bits(together[seed], alone[seed])
+
+
+def test_a_finished_thread_leaves_no_cube_array_behind():
+    # each thread keeps its own cube arrays, and they go when it ends; the
+    # main thread's stay
+    grid = GridSpec(8, 8, 8)
+    a, b = random_coeffs(grid, 40, True), random_coeffs(grid, 41, True)
+    jacobian_raw(grid, a, b)
+    main_array = weakref.ref(spectral._cube(grid, grid.dealias_bounds)[0])
+    arrays = []
+
+    def work():
+        jacobian_raw(grid, a, b)
+        arrays.append(weakref.ref(spectral._cube(grid, grid.dealias_bounds)[0]))
+
+    for _ in range(3):
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert len(arrays) == 3
+    assert [ref() for ref in arrays] == [None] * 3
+    assert main_array() is spectral._cube(grid, grid.dealias_bounds)[0]
 
 
 def test_cube_derivative_multiplies_along_its_axes_in_their_order():

@@ -29,6 +29,19 @@ def spectral_of(grid, values):
     return SpectralField(grid, fwd(grid, values))
 
 
+def state_of_psi(grid, psi_values, F=1.0):
+    """The state whose scalar is q = L psi, for a streamfunction given by
+    its samples; the tracer's tables come from q, not from psi."""
+    psi = fwd(grid, psi_values, truncate=True)
+    q_hat = SpectralField(grid, psi * grid.stratified_symbol(F))
+    return State(q_hat, 0.0, PhysicsParams(F=F))
+
+
+def cube_sums(table, grid, pts):
+    """(v1, v2) of a cube table (``velocity_table``) at the points."""
+    return _sum_at_points(table, grid, pts, grid.dealias_bounds[2])
+
+
 def scattered_points(n, seed=0):
     rng = np.random.default_rng(seed)
     return rng.uniform(0.0, 2.0 * np.pi, (n, 2))
@@ -67,11 +80,10 @@ def test_evaluate_handles_mean_component():
 def test_velocity_table_shape_and_values():
     grid = GridSpec(16, 16, 4)
     X, Y, _ = mesh(grid)
-    psi = spectral_of(grid, np.cos(X) + np.sin(Y))
-    table = velocity_table(psi, 0.0)
-    assert table.shape == (2, 16, 9)
+    table = velocity_table(state_of_psi(grid, np.cos(X) + np.sin(Y)), 0.0)
+    assert table.shape == (2, 11, 6)
     pts = scattered_points(7, seed=2)
-    v = _sum_at_points(table, grid, pts)
+    v = cube_sums(table, grid, pts)
     assert v.shape == (7, 2)
     # v1 = -psi_y = -cos(y), v2 = psi_x = -sin(x)
     assert np.max(np.abs(v[:, 0] + np.cos(pts[:, 1]))) < 1e-13
@@ -104,7 +116,7 @@ def circular_gap(a, b, length=2.0 * np.pi):
 def test_advance_constant_velocity_is_exact():
     # v = (1, 2) uniformly: x(t) = x0 + t, y(t) = y0 + 2t, integral = 2t
     grid = GridSpec(8, 8, 8)
-    table = np.zeros((2, grid.ny, grid.nx // 2 + 1), dtype=np.complex128)
+    table = velocity_table(state_of_psi(grid, np.zeros(grid.shape)), 0.0)
     table[:, 0, 0] = (1.0, 2.0)
     ps = ParticleSet.at_rest(grid, scattered_points(6), 0.0)
     out = advance_particles(ps, (table, table, table), 0.25)
@@ -119,8 +131,7 @@ def test_advance_shear_flow_is_exact():
     # every RK4 stage sees the same velocity, so the step is exact
     grid = GridSpec(16, 16, 4)
     _, Y, _ = mesh(grid)
-    psi = spectral_of(grid, np.cos(Y))
-    steady = (velocity_table(psi, 0.0),) * 3
+    steady = (velocity_table(state_of_psi(grid, np.cos(Y)), 0.0),) * 3
     labels = scattered_points(10, seed=3)
     ps = ParticleSet.at_rest(grid, labels, 0.0)
     dt = 0.3
@@ -135,8 +146,7 @@ def test_advance_converges_to_refined_reference():
     # steady nonlinear flow: one coarse step vs many fine steps
     grid = GridSpec(16, 16, 4)
     X, Y, _ = mesh(grid)
-    psi = spectral_of(grid, np.cos(X) + np.cos(Y))
-    steady = (velocity_table(psi, 0.0),) * 3
+    steady = (velocity_table(state_of_psi(grid, np.cos(X) + np.cos(Y)), 0.0),) * 3
     ps = ParticleSet.at_rest(grid, scattered_points(8, seed=4), 0.0)
 
     coarse = advance_particles(ps, steady, 0.2)
@@ -178,8 +188,48 @@ def test_velocity_tables_match_per_component_spectra():
     pts = scattered_points(128, seed=12)
     for z in (0.0, 1.1, np.pi):
         want = reference_velocity((v1h, v2h), pts, z)
-        got = _sum_at_points(velocity_table(psi, z), grid, pts)
+        got = cube_sums(velocity_table(state, z), grid, pts)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "grid, F",
+    [(GridSpec(64, 64, 64), 1.0), (GridSpec(32, 32, 16, lx=1.0, ly=3.0, lz=0.7), 0.7)],
+    ids=["64-cube", "box-1x3x0.7"],
+)
+def test_velocity_tables_match_per_component_spectra_on_other_grids(grid, F):
+    state = make_random(grid, -3.0, 1.0, 14, params=PhysicsParams(F=F))
+    v1h, v2h, _ = velocity_spectra(solve_stratified_poisson(state.q_hat, F))
+    rng = np.random.default_rng(14)
+    pts = rng.uniform(0.0, 1.0, (256, 2)) * (grid.lx, grid.ly)
+    for z in (0.0, 0.3 * grid.lz, 0.5 * grid.lz):
+        want = reference_velocity((v1h, v2h), pts, z)
+        got = cube_sums(velocity_table(state, z), grid, pts)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_point_sums_match_closed_forms_on_a_box():
+    # on a 1 x 3 x 0.7 box the phase of mode j is 2 pi j x / L, so a phase
+    # step of 1 (right only on the 2 pi box) fails here
+    grid = GridSpec(16, 16, 8, lx=1.0, ly=3.0, lz=0.7)
+    X, Y, Z = mesh(grid)
+    a, b, c = 2.0 * np.pi / grid.lx, 4.0 * np.pi / grid.ly, 2.0 * np.pi / grid.lz
+    F = 0.7
+    psi = np.cos(a * X) * np.sin(b * Y) * np.cos(c * Z)
+    state = state_of_psi(grid, psi, F)
+    rng = np.random.default_rng(15)
+    pts = rng.uniform(0.0, 1.0, (40, 2)) * (grid.lx, grid.ly)
+    x, y = pts[:, 0], pts[:, 1]
+    z0 = 0.123
+    v = cube_sums(velocity_table(state, z0), grid, pts)
+    v1 = -b * np.cos(a * x) * np.cos(b * y) * np.cos(c * z0)
+    v2 = -a * np.sin(a * x) * np.sin(b * y) * np.cos(c * z0)
+    assert np.max(np.abs(v[:, 0] - v1)) < 1e-13 * b
+    assert np.max(np.abs(v[:, 1] - v2)) < 1e-13 * a
+    q = evaluate_at_points(state.q_hat, pts, z0)
+    k2 = a * a + b * b + F * F * c * c
+    want = -k2 * np.cos(a * x) * np.sin(b * y) * np.cos(c * z0)
+    assert np.max(np.abs(q - want)) < 1e-13 * k2
 
 
 @pytest.mark.parametrize("t_mid", [0.005, 0.004])
