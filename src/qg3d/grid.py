@@ -120,32 +120,30 @@ class GridSpec:
 
     @cached_property
     def ikx(self) -> np.ndarray:
-        m = 1j * self.kx.copy()
+        m = 1j * self.kx
         if self.nx > 1 and self.nx % 2 == 0:
             m[-1] = 0.0
         return m.reshape(1, 1, -1)
 
     @cached_property
     def iky(self) -> np.ndarray:
-        m = 1j * self.ky.copy()
+        m = 1j * self.ky
         if self.ny > 1 and self.ny % 2 == 0:
             m[self.ny // 2] = 0.0
         return m.reshape(1, -1, 1)
 
     @cached_property
     def ikz(self) -> np.ndarray:
-        m = 1j * self.kz.copy()
+        m = 1j * self.kz
         if self.nz > 1 and self.nz % 2 == 0:
             m[self.nz // 2] = 0.0
         return m.reshape(-1, 1, 1)
 
     @cached_property
     def k2_iso(self) -> np.ndarray:
-        """Isotropic |k|^2 = kx^2 + ky^2 + kz^2 on the half spectrum."""
-        kx2 = (self.kx**2).reshape(1, 1, -1)
-        ky2 = (self.ky**2).reshape(1, -1, 1)
-        kz2 = (self.kz**2).reshape(-1, 1, 1)
-        return kx2 + ky2 + kz2
+        """Isotropic |k|^2 = kx^2 + ky^2 + kz^2 on the half spectrum, the
+        negated symbol at F = 1."""
+        return -self.stratified_symbol(1.0)
 
     def stratified_symbol(self, F: float) -> np.ndarray:
         """Symbol of the elliptic operator: -(kx^2 + ky^2 + F^2 kz^2)."""
@@ -158,15 +156,16 @@ class GridSpec:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """Boolean keep-mask implementing the two-thirds rule per axis.
+        """Boolean keep-mask of the two-thirds rule, ``keeps_mode``."""
+        return self.keeps_mode((self.sx.reshape(1, 1, -1), self.sy.reshape(1, -1, 1),
+                                self.sz.reshape(-1, 1, 1)))
 
-        A mode survives when |s| <= n/3 on every axis.  Axes of size 1 only
-        carry s = 0 and are always kept.
-        """
-        keep_x = (np.abs(self.sx) <= self.nx / 3.0).reshape(1, 1, -1)
-        keep_y = (np.abs(self.sy) <= self.ny / 3.0).reshape(1, -1, 1)
-        keep_z = (np.abs(self.sz) <= self.nz / 3.0).reshape(-1, 1, 1)
-        return keep_x & keep_y & keep_z
+    def keeps_mode(self, s):
+        """The two-thirds rule: whether mode numbers (s_x, s_y, s_z), ints
+        or broadcastable arrays, have |s| <= n/3 on every axis.  Axes of
+        size 1 only carry s = 0, which is kept; modes beyond Nyquist are not."""
+        sx, sy, sz = s
+        return (abs(sx) <= self.nx / 3.0) & (abs(sy) <= self.ny / 3.0) & (abs(sz) <= self.nz / 3.0)
 
     @cached_property
     def dealias_bounds(self) -> tuple[int, int, int, int, int]:
@@ -186,6 +185,20 @@ class GridSpec:
         zlo, zhi = dropped(keep.any(axis=(1, 2)), self.nz)
         lo, hi = dropped(keep.any(axis=(0, 2)), self.ny)
         return zlo, zhi, lo, hi, int(keep.any(axis=(0, 1)).sum())
+
+    @cached_property
+    def cube_blocks(self) -> tuple[tuple[tuple[slice, slice, slice], slice], ...]:
+        """The cube of ``dealias_bounds`` as its non-empty (z range x y
+        range) blocks of the first kx columns, z ranges outer: each as its
+        index into a half spectrum and its rows in a table of the kept y rows
+        (modes 0 .. lo - 1, then the negative ones).  The first holds (0, 0, 0)."""
+        zlo, zhi, lo, hi, kx = self.dealias_bounds
+        return tuple(
+            ((zs, ys, slice(0, kx)), rows)
+            for zs in (slice(0, zlo), slice(zhi, self.nz))
+            for ys, rows in ((slice(0, lo), slice(0, lo)), (slice(hi, self.ny), slice(lo, None)))
+            if zs.start < zs.stop and ys.start < ys.stop
+        )
 
     @cached_property
     def hermitian_weight(self) -> np.ndarray:

@@ -27,15 +27,6 @@ def _canonical_mode(s: tuple[int, int, int]) -> tuple[int, int, int]:
     return (sx, sy, sz)
 
 
-def _check_in_cube(grid: GridSpec, s: tuple[int, int, int]) -> None:
-    # the per-axis bound of grid.dealias_mask
-    for name, n, si in (("x", grid.nx, s[0]), ("y", grid.ny, s[1]), ("z", grid.nz, s[2])):
-        if abs(si) > n / 3.0:
-            raise ValueError(
-                f"mode {s} lies outside the two-thirds cube: |s_{name}| = {abs(si)} > {n}/3"
-            )
-
-
 def single_mode_coeffs(grid: GridSpec, s: tuple[int, int, int], c: complex) -> np.ndarray:
     """Coefficients of the real field 2*Re(c * exp(i k.x)) for mode s.
 
@@ -69,8 +60,11 @@ def make_rossby(
     """
     if (s_x, s_y, s_z) == (0, 0, 0):
         raise ZeroModeError("the (0, 0, 0) mode has no dynamics")
-    _check_in_cube(grid, (s_x, s_y, s_z))
-    s = _canonical_mode((s_x, s_y, s_z))
+    s = (s_x, s_y, s_z)
+    if not grid.keeps_mode(s):
+        raise ValueError(f"mode {s} lies outside the two-thirds cube |s| <= n/3 of the "
+                         f"{grid.nx}x{grid.ny}x{grid.nz} grid")
+    s = _canonical_mode(s)
     k2 = -grid.stratified_symbol(F)[s[2] % grid.nz, s[1] % grid.ny, s[0]]
     omega = -beta * grid.kx[s[0]] / k2
 

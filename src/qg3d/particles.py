@@ -20,7 +20,7 @@ import numpy as np
 
 from .diagnostics import _write_csv
 from .grid import GridSpec
-from .spectral import SpectralField
+from .spectral import SpectralField, _gauged_symbol
 from .stepping import State
 
 
@@ -124,35 +124,27 @@ def evaluate_at_points(fh: SpectralField, xy: np.ndarray, z_level: float) -> np.
 
 @lru_cache(maxsize=16)
 def _level_weights(grid: GridSpec, F: float, z_level: float):
-    """exp(i kz z_level) / stratified symbol on each kept (z range x y range)
-    block of the first kx columns, as (q index, table rows, weight), with 0
-    at the gauge slot; and the kept rows of iky and columns of ikx."""
-    zlo, zhi, lo, hi, kx = grid.dealias_bounds
-    sym = grid.stratified_symbol(F)
-    sym[0, 0, 0] = 1.0
+    """exp(i kz z_level) / gauged symbol on each of ``grid.cube_blocks``, as
+    (q index, table rows, weight), with 0 at the gauge slot; and the kept
+    rows of iky and columns of ikx."""
+    _, _, lo, hi, kx = grid.dealias_bounds
+    sym = _gauged_symbol(grid, F)
     phase = np.exp(1j * grid.kz * z_level).reshape(-1, 1, 1)
-    blocks = []
-    for ys, rows in ((slice(0, lo), slice(0, lo)), (slice(hi, grid.ny), slice(lo, None))):
-        for zs in (slice(0, zlo), slice(zhi, grid.nz)):
-            if zs.start < zs.stop and ys.start < ys.stop:
-                index = (zs, ys, slice(0, kx))
-                blocks.append((index, rows, phase[zs] / sym[index]))
+    blocks = tuple((index, rows, phase[index[0]] / sym[index]) for index, rows in grid.cube_blocks)
     blocks[0][2][0, 0, 0] = 0.0
     iky = np.concatenate((grid.iky[0, :lo], grid.iky[0, hi:]))
-    return tuple(blocks), iky, grid.ikx[0, :, :kx]
+    return blocks, iky, grid.ikx[0, :, :kx]
 
 
 def velocity_table(state: State, z_level: float) -> np.ndarray:
     """Planar coefficients of (v1, v2) = (-dpsi/dy, dpsi/dx) on one z plane,
     on the kept rows and columns of the two-thirds cube: shape (2, rows,
-    kx), with the rows of y modes 0 .. lo - 1 then the negative ones
-    (``GridSpec.dealias_bounds``).  Summed straight from q over kz, with
-    no Poisson solve."""
-    grid = state.grid
+    kx), with the rows of y modes 0 .. lo - 1 then the negative ones, as
+    ``GridSpec.cube_blocks`` lays them out.  Summed straight from q over kz,
+    with no Poisson solve."""
     q = state.q_hat.coeffs
-    blocks, iky, ikx = _level_weights(grid, state.params.F, z_level)
-    _, _, lo, hi, kx = grid.dealias_bounds
-    plane = np.zeros((lo + grid.ny - hi, kx), dtype=np.complex128)
+    blocks, iky, ikx = _level_weights(state.grid, state.params.F, z_level)
+    plane = np.zeros((iky.shape[0], ikx.shape[1]), dtype=np.complex128)
     for index, rows, weight in blocks:
         plane[rows] += np.einsum("zyx,zyx->yx", q[index], weight)
     return np.stack((-(plane * iky), plane * ikx))

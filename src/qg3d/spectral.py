@@ -14,10 +14,10 @@ The kernels' signatures were checked against scipy 1.17.1; this is the one
 module that imports ``scipy.fft``.  Both take an ``out=`` array, as
 ``solve_stratified_poisson`` does; without one each returns a new array.
 
-One half spectrum is kept per grid and thread, the cube array of
-``cube_derivative``.  It holds the spectra that the Jacobian, the CFL bound
-and the diagnostics transform, and is +0.0 outside the two-thirds cube by
-construction.  The three regions outside that cube have one owner,
+One half spectrum is kept per thread, for the grid it used last: the cube
+array of ``cube_derivative``.  It holds the spectra that the Jacobian, the
+CFL bound and the diagnostics transform, and is +0.0 outside the two-thirds
+cube by construction.  The three regions outside that cube have one owner,
 ``_outside_cube``: ``_in_cube`` tests them and ``_truncate`` zeroes them.  A
 state is refused unless it lies inside the cube, so the spectra of the CFL
 bound and the diagnostics are the full products.
@@ -154,8 +154,8 @@ def cube_derivative(grid: GridSpec, coeffs: np.ndarray, *axes: str) -> np.ndarra
     (each "x", "y" or "z"; none gives ``coeffs`` itself), truncated to the
     two-thirds cube and formed in the grid's cube array, for ``inv``.
 
-    The products are formed only in the kept (z range x y range) blocks of
-    the first kx columns, 8/27 of the array; everything else holds +0.0.
+    The products are formed only in the kept blocks (``grid.cube_blocks``),
+    8/27 of the array; everything else holds +0.0.
     The last ``inv`` of the array filled only the dropped y rows and z
     planes of those columns, so only they are zeroed again.  A kept
     coefficient has the bits of the full product ``coeffs * grid.ik<a> *
@@ -199,39 +199,31 @@ def _truncate(grid: GridSpec, c: np.ndarray) -> np.ndarray:
     return c
 
 
-# each thread's cube arrays, by (grid, bounds), least recently used first;
-# a thread's arrays go when it ends, the main thread's stay with the process
+# each thread's last cube, as ((grid, bounds), cube); a thread's array goes
+# when it ends, the main thread's stays with the process
 _cubes = threading.local()
-_CUBES_PER_THREAD = 8
 
 
 def _cube(grid: GridSpec, bounds: tuple[int, int, int, int, int]):
     """The cube array, +0.0 outside the cube ``bounds`` whenever
-    ``cube_derivative`` hands it to ``inv``, and the non-empty kept blocks as
+    ``cube_derivative`` hands it to ``inv``, and the grid's kept blocks as
     (index, {axis: multiplier}), each multiplier cut to the block.  Kept per
-    grid, cube and thread, the last ``_CUBES_PER_THREAD`` a thread used:
-    equal grids whose masks differ share nothing, and runs in two threads
-    never write into each other's array."""
-    kept = _cubes.__dict__.setdefault("by_grid", {})
+    thread for the (grid, bounds) it used last: equal grids whose masks
+    differ share nothing, and runs in two threads never write into each
+    other's array."""
     key = (grid, bounds)
-    cube = kept.pop(key, None)
-    if cube is None:
-        cube = _new_cube(grid, bounds)
-        if len(kept) >= _CUBES_PER_THREAD:
-            del kept[next(iter(kept))]
-    kept[key] = cube
-    return cube
+    kept = getattr(_cubes, "kept", None)
+    if kept is None or kept[0] != key:
+        kept = _cubes.kept = (key, _new_cube(grid))
+    return kept[1]
 
 
-def _new_cube(grid: GridSpec, bounds: tuple[int, int, int, int, int]):
-    zlo, zhi, lo, hi, kx = bounds
-    blocks = []
-    for zs in (slice(0, zlo), slice(zhi, grid.nz)):
-        for ys in (slice(0, lo), slice(hi, grid.ny)):
-            if zs.start < zs.stop and ys.start < ys.stop:
-                mults = {"x": grid.ikx[:, :, :kx], "y": grid.iky[:, ys], "z": grid.ikz[zs]}
-                blocks.append(((zs, ys, slice(0, kx)), mults))
-    return np.zeros(grid.kshape, dtype=np.complex128), tuple(blocks)
+def _new_cube(grid: GridSpec):
+    blocks = tuple(
+        ((zs, ys, xs), {"x": grid.ikx[:, :, xs], "y": grid.iky[:, ys], "z": grid.ikz[zs]})
+        for (zs, ys, xs), _ in grid.cube_blocks
+    )
+    return np.zeros(grid.kshape, dtype=np.complex128), blocks
 
 
 # ---- the pool of grid arrays ----------------------------------------------
@@ -337,13 +329,19 @@ def solve_stratified_poisson(
     return SpectralField(grid, out)
 
 
+def _gauged_symbol(grid: GridSpec, F: float) -> np.ndarray:
+    """The stratified symbol with 1 in the gauge slot (0, 0, 0), where the
+    solve sets the result's mean to zero instead of dividing."""
+    sym = grid.stratified_symbol(F)
+    sym[0, 0, 0] = 1.0
+    return sym
+
+
 @lru_cache(maxsize=8)
 def _inverse_symbol(grid: GridSpec, F: float) -> np.ndarray:
-    """1 / stratified symbol, each entry twice: the real and imaginary parts
-    of a complex128 half spectrum viewed as float64."""
-    sym = grid.stratified_symbol(F).copy()
-    sym[0, 0, 0] = 1.0  # gauge slot, solution mean forced to zero by the caller
-    return np.repeat(1.0 / sym, 2, axis=-1)
+    """1 / gauged symbol, each entry twice: the real and imaginary parts of
+    a complex128 half spectrum viewed as float64."""
+    return np.repeat(1.0 / _gauged_symbol(grid, F), 2, axis=-1)
 
 
 # ---- Parseval-side norms and inner products -------------------------------

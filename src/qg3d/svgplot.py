@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from typing import Sequence
-from xml.sax.saxutils import escape
+from html import escape
 
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -74,7 +74,7 @@ def render_line_plot(
     if title:
         parts.append(
             f'<text x="{_W / 2:.1f}" y="26" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="17">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="17">{escape(title, quote=False)}</text>'
         )
 
     for tick in _nice_ticks(x_lo, x_hi):
@@ -109,13 +109,14 @@ def render_line_plot(
     parts.append(frame)
     parts.append(
         f'<text x="{_ML + plot_w / 2:.1f}" y="{_H - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{escape(xlabel)}</text>'
+        f'font-family="sans-serif" font-size="13">{escape(xlabel, quote=False)}</text>'
     )
     if ylabel:
         parts.append(
             f'<text x="18" y="{_MT + plot_h / 2:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {_MT + plot_h / 2:.1f})">{escape(ylabel)}</text>'
+            f'transform="rotate(-90 18 {_MT + plot_h / 2:.1f})">'
+            f'{escape(ylabel, quote=False)}</text>'
         )
 
     for idx, (label, xs, ys) in enumerate(series):
@@ -137,7 +138,7 @@ def render_line_plot(
         )
         parts.append(
             f'<text x="{lx + 28}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{escape(label)}</text>'
+            f'font-size="12">{escape(label, quote=False)}</text>'
         )
 
     parts.append("</svg>")

@@ -391,3 +391,25 @@ def test_only_grid_and_make_random_read_the_dealias_mask():
     modules = (ROOT / "src" / "qg3d").glob("*.py")
     readers = set().union(*(mask_readers(path) for path in modules))
     assert {name for name in readers if not name.startswith("grid.")} == {"initial.make_random"}
+
+
+def divisions_by_three(path: Path) -> set[str]:
+    """The divisions (``/`` or ``//``) by the constant 3 in a module, each
+    named with the module, its line and its source text."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, (ast.Div, ast.FloorDiv)
+        ):
+            divisor = node.right if isinstance(node, ast.BinOp) else node.value
+            if isinstance(divisor, ast.Constant) and divisor.value == 3:
+                found.add(f"{path.stem}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_only_grid_divides_by_three():
+    # the two-thirds rule |s| <= n/3 lives in GridSpec.keeps_mode; every
+    # other test of the cube asks the grid
+    modules = (ROOT / "src" / "qg3d").glob("*.py")
+    found = set().union(*(divisions_by_three(path) for path in modules))
+    assert {name for name in found if not name.startswith("grid:")} == set()

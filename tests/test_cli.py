@@ -142,6 +142,16 @@ def test_spawned_exit_codes(tmp_path):
     assert "blow-up" in done.stderr
 
 
+def test_importing_the_cli_loads_no_network_modules():
+    # svgplot escapes with html.escape: xml.sax.saxutils imports
+    # urllib.request, which imports http.client and ssl
+    code = ("import sys, qg3d.cli; "
+            "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 @pytest.mark.skipif(
     shutil.which("qg3d") is None,
     reason="qg3d console script not on PATH; "

@@ -71,6 +71,14 @@ def test_rossby_mode_beyond_grid_rejected():
             make_rossby(grid, 1.0, 1.0, *mode, 1.0)
 
 
+def test_rossby_mode_that_wraps_around_the_grid_rejected():
+    # 9 = 1 mod 8: a mode past the grid must not alias to a kept one
+    grid = GridSpec(8, 8, 8)
+    for mode in ((9, 0, 0), (0, 9, 0), (0, 0, -9)):
+        with pytest.raises(ValueError, match=re.escape(f"mode {mode} lies outside")):
+            make_rossby(grid, 1.0, 1.0, *mode, 1.0)
+
+
 def test_rossby_negative_mode_is_same_field():
     grid = GridSpec(16, 16, 16)
     a, _ = make_rossby(grid, 1.0, 1.0, 1, -2, 1, 1.0)

@@ -503,6 +503,24 @@ def test_a_finished_thread_leaves_no_cube_array_behind():
     assert main_array() is spectral._cube(grid, grid.dealias_bounds)[0]
 
 
+def test_a_second_grid_frees_the_first_grids_cube_array():
+    # a thread keeps one cube array, for the grid it used last
+    first, second = GridSpec(8, 8, 8), GridSpec(8, 8, 4)
+    freed = []
+
+    def work():
+        jacobian_raw(first, random_coeffs(first, 42, True), random_coeffs(first, 43, True))
+        array = weakref.ref(spectral._cube(first, first.dealias_bounds)[0])
+        jacobian_raw(second, random_coeffs(second, 44, True), random_coeffs(second, 45, True))
+        freed.append(array() is None)
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert freed == [True]
+
+
 def test_cube_derivative_multiplies_along_its_axes_in_their_order():
     # no axes is the truncation itself; record's Hessian multiplies twice
     for grid in (GridSpec(8, 8, 8), GridSpec(32, 16, 32), GridSpec(2, 4, 8)):

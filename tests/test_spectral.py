@@ -10,9 +10,11 @@ import pytest
 
 from qg3d.errors import GridMismatchError, NonZeroMeanError
 from qg3d.grid import GridSpec
+from qg3d.particles import _level_weights
 from qg3d.spectral import (
     SpectralField,
     _in_cube,
+    _new_cube,
     fwd,
     inner_product,
     inv,
@@ -160,6 +162,37 @@ def test_dealias_masks_upper_third():
     fh = SpectralField(grid, fwd(grid, np.cos(3 * X) + np.cos(7 * X)))
     cut = dealias(fh)
     assert np.max(np.abs(inv(grid, cut.coeffs) - np.cos(3 * X))) < 1e-13
+
+
+BLOCK_GRIDS = [GridSpec(64, 64, 64), GridSpec(16, 16, 8), GridSpec(8, 4, 2), GridSpec(2, 4, 8),
+               GridSpec(8, 1, 1)]
+
+
+@pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}x{g.nz}")
+def test_the_kept_blocks_tile_the_two_thirds_cube_z_ranges_first(grid):
+    kx = grid.dealias_bounds[4]
+    covered = np.zeros(grid.kshape, dtype=int)
+    for index, _ in grid.cube_blocks:
+        assert covered[index].size > 0
+        covered[index] += 1
+    assert covered.max() == 1
+    assert np.array_equal(covered[:, :, :kx] == 1, grid.dealias_mask[:, :, :kx])
+    assert not grid.dealias_mask[:, :, kx:].any()
+    starts = [(index[0].start, index[1].start) for index, _ in grid.cube_blocks]
+    assert starts == sorted(starts)
+    # a block's rows in the tracer's table are its kept y rows, positive
+    # modes first, then the negative ones
+    kept_rows = np.flatnonzero(grid.dealias_mask.any(axis=(0, 2)))
+    for (_, ys, _), rows in grid.cube_blocks:
+        assert np.array_equal(kept_rows[rows], np.arange(grid.ny)[ys])
+
+
+@pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}x{g.nz}")
+def test_the_cube_and_the_tracer_weights_take_their_blocks_from_the_grid(grid):
+    _, blocks = _new_cube(grid)
+    assert [index for index, _ in blocks] == [index for index, _ in grid.cube_blocks]
+    weights, _, _ = _level_weights(grid, 1.0, 0.5)
+    assert [(index, rows) for index, rows, _ in weights] == list(grid.cube_blocks)
 
 
 def test_dealiased_product_is_exact_convolution():
