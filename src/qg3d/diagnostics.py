@@ -152,10 +152,9 @@ def _hessian_magnitude(grid: GridSpec, coeffs: np.ndarray, pool: Pool) -> np.nda
     ):
         # the operand order of derivative(derivative(fh, ax1), ax2)
         inv(grid, cube_derivative(grid, coeffs, ax1, ax2), out=comp)
-        # h2 += mult * comp * comp, without its two temporaries
-        np.multiply(mult, comp, out=term)
-        term *= comp
-        h2 += term
+        # h2 += mult * comp * comp without temporaries; 1.0 * comp is comp
+        factor = comp if mult == 1.0 else np.multiply(mult, comp, out=term)
+        h2 += np.multiply(factor, comp, out=term)
     return np.sqrt(h2, out=h2)
 
 
@@ -165,8 +164,8 @@ def record(state: State, m: int = 4) -> DiagnosticsRecord:
     m sets the Sobolev monitoring order: the scalar is tracked in H^(m-1)
     and the velocity in H^m.  The fields on the grid are formed in the
     pool's ``real(0)`` to ``real(2)``, each reduced to its norms before its
-    array is reused, with |f|^p in ``real(3)``; squares and |f| are taken
-    in place.  The streamfunction is the pool's ``half("psi")``.
+    array is reused, with |f|^p in the free ``real(2)``; squares and |f| are
+    taken in place.  The streamfunction is the pool's ``half("psi")``.
 
     A state lies inside the two-thirds cube, and so does every spectrum
     derived from it: the 19 spectra are formed in the cube array, which
@@ -178,7 +177,7 @@ def record(state: State, m: int = 4) -> DiagnosticsRecord:
     dv = grid.cell_volume
     pool = pool_for(grid)
     psi = solve_stratified_poisson(q_hat, F, out=pool.half("psi")).coeffs
-    scratch = pool.real(3)
+    scratch = pool.real(2)
 
     def velocity(axis, i):
         # H^m norm and grid values, in real(i), of a velocity component, up

@@ -100,9 +100,9 @@ def jacobian_raw(
     cube array, so only the kept 8/27 of the half spectrum is multiplied and
     ``inv`` skips its zero test.  The truncation comes from the block
     restriction, by the grid's own ``dealias_mask``: full-spectrum inputs
-    are truncated too.  The four derivatives on the grid are the pool's
-    ``real(0)`` to ``real(3)``; the result goes to ``out`` if given, else to
-    a new array.
+    are truncated too.  psi_x, psi_y and q_y, then q_x, on the grid are the
+    pool's ``real(0)`` to ``real(2)``; the result goes to ``out`` if given,
+    else to a new array.
 
     With a ``maxima`` list, max|psi_y| and max|psi_x| on the grid are
     appended to it: the velocity maxima of the CFL bound, exact when psi
@@ -113,9 +113,9 @@ def jacobian_raw(
     psi_y = inv(grid, cube_derivative(grid, psi_c, "y"), out=pool.real(1))
     if maxima is not None:
         maxima += (abs_max(psi_y), abs_max(psi_x))
-    q_x = inv(grid, cube_derivative(grid, q_c, "x"), out=pool.real(2))
-    q_y = inv(grid, cube_derivative(grid, q_c, "y"), out=pool.real(3))
+    q_y = inv(grid, cube_derivative(grid, q_c, "y"), out=pool.real(2))
     psi_x *= q_y
+    q_x = inv(grid, cube_derivative(grid, q_c, "x"), out=q_y)
     psi_y *= q_x
     psi_x -= psi_y
     jac = fwd(grid, psi_x, truncate=True, out=out)

@@ -123,11 +123,12 @@ def evaluate_at_points(fh: SpectralField, xy: np.ndarray, z_level: float) -> np.
 
 
 @lru_cache(maxsize=16)
-def _level_weights(grid: GridSpec, F: float, z_level: float):
+def _level_weights(grid: GridSpec, bounds: tuple, F: float, z_level: float):
     """exp(i kz z_level) / gauged symbol on each of ``grid.cube_blocks``, as
     (q index, table rows, weight), with 0 at the gauge slot; and the kept
-    rows of iky and columns of ikx."""
-    _, _, lo, hi, kx = grid.dealias_bounds
+    rows of iky and columns of ikx.  Keyed by ``grid.dealias_bounds`` too,
+    as ``spectral._cube`` is, so equal grids whose masks differ share none."""
+    _, _, lo, hi, kx = bounds
     sym = _gauged_symbol(grid, F)
     phase = np.exp(1j * grid.kz * z_level).reshape(-1, 1, 1)
     blocks = tuple((index, rows, phase[index[0]] / sym[index]) for index, rows in grid.cube_blocks)
@@ -143,7 +144,8 @@ def velocity_table(state: State, z_level: float) -> np.ndarray:
     ``GridSpec.cube_blocks`` lays them out.  Summed straight from q over kz,
     with no Poisson solve."""
     q = state.q_hat.coeffs
-    blocks, iky, ikx = _level_weights(state.grid, state.params.F, z_level)
+    grid = state.grid
+    blocks, iky, ikx = _level_weights(grid, grid.dealias_bounds, state.params.F, z_level)
     plane = np.zeros((iky.shape[0], ikx.shape[1]), dtype=np.complex128)
     for index, rows, weight in blocks:
         plane[rows] += np.einsum("zyx,zyx->yx", q[index], weight)

@@ -239,13 +239,14 @@ class Pool:
 
     - ``half("psi")``: the streamfunction of ``tendency_raw`` and of
       ``record``;
-    - ``half("stage")``, ``"base"``, ``"k2"``, ``"k3"``, ``"k4"``:
-      ``rk4_step``, across its ``tendency_raw`` calls;
-    - ``real(0)`` to ``real(3)``: the four derivatives of ``jacobian_raw``,
-      and the grid fields and the |f|^p scratch of ``record``.
+    - ``half("stage")`` and ``half("k")``, and with viscosity ``"base"``
+      and ``"mid"``: ``rk4_step``, across its ``tendency_raw`` calls;
+      ``half("stage")`` is also the scratch of ``sobolev_norm``;
+    - ``real(0)`` to ``real(2)``: the derivatives of ``jacobian_raw``, and
+      the grid fields and the |f|^p scratch of ``record``.
 
-    ``record`` runs between steps and a forcing is evaluated after the
-    Jacobian, so those never overlap.
+    ``record`` and so ``sobolev_norm`` run between steps, and a forcing is
+    evaluated after the Jacobian, so those never overlap.
     """
 
     def __init__(self, grid: GridSpec):
@@ -361,10 +362,15 @@ def inner_product(ah: SpectralField, bh: SpectralField) -> float:
 
 
 def sobolev_norm(fh: SpectralField, s: float) -> float:
-    """Norm with weight (1 + |k|^2)^s on the isotropic wavenumber."""
+    """Norm with weight (1 + |k|^2)^s on the isotropic wavenumber.  The
+    squares and the weighted terms are formed in the pool's
+    ``half("stage")``, viewed as two float half spectra."""
     g = fh.grid
-    total = np.sum(_sobolev_weight(g, s) * (fh.coeffs.real**2 + fh.coeffs.imag**2))
-    return float(np.sqrt(g.volume * total))
+    terms, imag_sq = pool_for(g).half("stage").view(np.float64).reshape(2, *g.kshape)
+    np.square(fh.coeffs.real, out=terms)
+    terms += np.square(fh.coeffs.imag, out=imag_sq)
+    np.multiply(_sobolev_weight(g, s), terms, out=terms)
+    return float(np.sqrt(g.volume * np.sum(terms)))
 
 
 @lru_cache(maxsize=8)

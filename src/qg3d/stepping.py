@@ -134,8 +134,10 @@ def rk4_step(
     viscous decay is applied exactly per mode and never restricts dt.
     ``k1`` is the tendency at the start of the step when the caller has it
     (it does not depend on dt); the step takes it over and changes it: it
-    becomes the new state's coefficients.  The stage, ``base`` and k2-k4
-    are the pool's half spectra of those names.
+    becomes the new state's coefficients.  The pool's ``half("stage")``
+    holds each stage and ``half("k")`` each of k2-k4 as k1 takes it in;
+    with viscosity ``half("mid")`` holds k2, then 2 e_half (k2 + k3), and
+    ``half("base")`` e_half q, then e_full q.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -149,9 +151,10 @@ def rk4_step(
     def rhs(q_c: np.ndarray, t_c: float, out: Optional[np.ndarray] = None) -> np.ndarray:
         return tendency_raw(grid, q_c, t_c, p, forcing, out=out)
 
-    # Each stage is formed in place, in one buffer and the k arrays, by the
-    # operations of these expressions in their order of evaluation, so every
-    # result rounds exactly as written (h = dt/2):
+    # Each stage is formed in place, in one buffer and the tendency slots, by
+    # the operations of these expressions in their order of evaluation, so
+    # every result rounds exactly as written (h = dt/2; k1 sums the
+    # tendencies as they arrive):
     #   k2 = rhs(q + h k1),  k3 = rhs(q + h k2),  k4 = rhs(q + dt k3),
     #   q_new = q + (dt/6) (k1 + 2 k2 + 2 k3 + k4);
     # with viscosity,
@@ -169,35 +172,34 @@ def rk4_step(
         if viscous:
             e_half, e_full = _viscous_factors(grid, p.nu, dt)
             stage *= e_half
-            k2 = rhs(stage, t + h, pool.half("k2"))
+            mid = rhs(stage, t + h, pool.half("mid"))
             base = np.multiply(e_half, q, out=pool.half("base"))
-            np.multiply(k2, h, out=stage)
+            np.multiply(mid, h, out=stage)
             stage += base
-            k3 = rhs(stage, t + h, pool.half("k3"))
+            k = rhs(stage, t + h, pool.half("k"))
             np.multiply(e_full, q, out=base)
-            np.multiply(e_half, k3, out=stage)
+            np.multiply(e_half, k, out=stage)
             stage *= dt
             stage += base
-            k4 = rhs(stage, t + dt, pool.half("k4"))
-            k2 += k3
-            k2 *= e_half
-            k2 *= 2.0
+            mid += k
+            mid *= e_half
+            mid *= 2.0
             k1 *= e_full
-            k1 += k2
+            k1 += mid
         else:
             base = q
-            k2 = rhs(stage, t + h, pool.half("k2"))
-            np.multiply(k2, h, out=stage)
+            k = rhs(stage, t + h, pool.half("k"))
+            np.multiply(k, h, out=stage)
             stage += q
-            k3 = rhs(stage, t + h, pool.half("k3"))
-            np.multiply(k3, dt, out=stage)
+            k *= 2.0
+            k1 += k
+            rhs(stage, t + h, k)
+            np.multiply(k, dt, out=stage)
             stage += q
-            k4 = rhs(stage, t + dt, pool.half("k4"))
-            k2 *= 2.0
-            k1 += k2
-            k3 *= 2.0
-            k1 += k3
-        k1 += k4
+            k *= 2.0
+            k1 += k
+        rhs(stage, t + dt, k)
+        k1 += k
         k1 *= dt / 6.0
         k1 += base
         q_new = k1

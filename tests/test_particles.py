@@ -90,6 +90,26 @@ def test_velocity_table_shape_and_values():
     assert np.max(np.abs(v[:, 1] + np.sin(pts[:, 0]))) < 1e-13
 
 
+def test_a_grid_whose_mask_is_replaced_gets_its_own_tracer_weights():
+    # the tracer's weights are cached per grid and z level; an ordinary grid
+    # used first must not lend them to an equal grid whose mask keeps all
+    ordinary = GridSpec(16, 16, 16)
+    state = make_random(ordinary, -3.0, 1.0, 21)
+    # the replaced grid reads every y row as a mode >= 0, which equals the
+    # ordinary grid's negative one on the grid's own points
+    pts = np.array([[x, y] for x in ordinary.x[::3] for y in ordinary.y[::5]])
+    want = cube_sums(velocity_table(state, 0.4), ordinary, pts)
+    replaced = GridSpec(16, 16, 16)
+    replaced.__dict__["dealias_mask"] = np.ones(replaced.kshape, dtype=bool)
+    assert replaced == ordinary
+    whole = State(SpectralField(replaced, state.q_hat.coeffs), 0.0, state.params)
+    table = velocity_table(whole, 0.4)
+    assert table.shape == (2, 16, 9)
+    got = cube_sums(table, replaced, pts)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert velocity_table(state, 0.4).shape == (2, 11, 6)
+
+
 def test_wrap_positions():
     grid = GridSpec(8, 8, 8)
     pts = np.array([[2.0 * np.pi + 0.1, -0.2], [0.5, 1.0]])

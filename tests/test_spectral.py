@@ -191,7 +191,7 @@ def test_the_kept_blocks_tile_the_two_thirds_cube_z_ranges_first(grid):
 def test_the_cube_and_the_tracer_weights_take_their_blocks_from_the_grid(grid):
     _, blocks = _new_cube(grid)
     assert [index for index, _ in blocks] == [index for index, _ in grid.cube_blocks]
-    weights, _, _ = _level_weights(grid, 1.0, 0.5)
+    weights, _, _ = _level_weights(grid, grid.dealias_bounds, 1.0, 0.5)
     assert [(index, rows) for index, rows, _ in weights] == list(grid.cube_blocks)
 
 
